@@ -4,14 +4,11 @@
 
 namespace impress::sim {
 
-Engine::Engine(const EngineConfig& config)
-    : scheduler_(make_scheduler(config.scheduler)) {}
-
 EventId Engine::schedule_at(SimTime t, std::function<void()> fn) {
   const SimTime at = std::max(t, now_);
-  const std::uint64_t seq = next_seq_++;
-  const EventId id = pool_.acquire(at, seq, std::move(fn));
-  scheduler_->insert(SchedEvent{at, seq, id});
+  const EventId id = pool_.acquire(std::move(fn));
+  heap_.push_back(SchedEvent{at, next_seq_++, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
@@ -20,25 +17,33 @@ EventId Engine::schedule_after(SimTime delay, std::function<void()> fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  EventPool::Slot* slot = pool_.find_live(id);
-  if (slot == nullptr) return false;
-  const SchedEvent ev{slot->time, slot->seq, id};
+  if (!pool_.is_live(id)) return false;
   pool_.release(id);
-  // Eager-removal schedulers take the entry out now; the heap leaves a
-  // tombstone behind, bounded by compaction.
-  if (!scheduler_->remove(ev)) maybe_compact();
+  maybe_compact();
   return true;
 }
 
 void Engine::maybe_compact() {
-  const std::size_t entries = scheduler_->size();
+  const std::size_t entries = heap_.size();
   if (entries < 64) return;
   std::size_t live_in_batch = 0;
   for (std::size_t i = batch_pos_; i < batch_.size(); ++i)
     if (pool_.is_live(batch_[i].id)) ++live_in_batch;
-  const std::size_t live_in_scheduler = pool_.live_count() - live_in_batch;
-  if (entries > 2 * live_in_scheduler)
-    scheduler_->compact([this](EventId id) { return pool_.is_live(id); });
+  const std::size_t live_in_heap = pool_.live_count() - live_in_batch;
+  if (entries <= 2 * live_in_heap) return;
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const SchedEvent& ev) {
+                               return !pool_.is_live(ev.id);
+                             }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+Engine::SchedEvent Engine::pop_earliest() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const SchedEvent ev = heap_.back();
+  heap_.pop_back();
+  return ev;
 }
 
 bool Engine::step() {
@@ -54,8 +59,11 @@ bool Engine::step() {
     }
     batch_.clear();
     batch_pos_ = 0;
-    if (scheduler_->empty()) return false;
-    scheduler_->pop_batch(batch_);
+    if (heap_.empty()) return false;
+    const SimTime t = heap_.front().time;
+    do {
+      batch_.push_back(pop_earliest());
+    } while (!heap_.empty() && heap_.front().time == t);
   }
 }
 
@@ -74,13 +82,12 @@ bool Engine::peek_next_live(SimTime& t) {
     }
     ++batch_pos_;  // tombstone: skipping it here is free
   }
-  while (!scheduler_->empty()) {
-    const SchedEvent& top = scheduler_->peek();
-    if (pool_.is_live(top.id)) {
-      t = top.time;
+  while (!heap_.empty()) {
+    if (pool_.is_live(heap_.front().id)) {
+      t = heap_.front().time;
       return true;
     }
-    scheduler_->pop();  // discard tombstone
+    pop_earliest();  // discard tombstone
   }
   return false;
 }
@@ -105,7 +112,7 @@ bool Engine::warp_to(SimTime t) noexcept {
   now_ = t;
   // Any entries still queued are tombstones of cancelled events; a warp
   // is a clean restore point, so drop them outright.
-  scheduler_->clear();
+  heap_.clear();
   batch_.clear();
   batch_pos_ = 0;
   return true;

@@ -1,17 +1,13 @@
 // Slab allocator for pending events.
 //
-// The old engine kept callbacks in an `unordered_map<EventId,
-// function>`, paying a hash insert + erase (and an allocation) per
-// event. The pool replaces that with a slab of slots recycled through a
-// free list: schedule is an O(1) slot pop, cancel/fire an O(1) slot
-// release, and the arena stops growing once it covers the peak pending
-// set. An EventId packs (generation << 32 | slot index); the generation
+// Event callbacks live in a slab of slots recycled through a free list,
+// with no per-event hashing: schedule is an O(1) slot pop, cancel/fire
+// an O(1) slot release, and the arena stops growing once it covers the
+// peak pending set. An EventId packs (generation << 32 | slot index); the generation
 // bumps on every release, so a stale id — cancel after fire, double
 // cancel — decodes to a dead handle instead of hitting a recycled slot.
-//
-// Each slot also carries the event's (time, seq) key so eager-removal
-// schedulers (map, calendar) can locate their queue entry on cancel
-// without any side lookup.
+// Slots hold only the callback; the event's (time, seq) key lives in the
+// engine's heap entry.
 
 #pragma once
 
@@ -20,22 +16,16 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_scheduler.hpp"
-
 namespace impress::sim {
+
+/// Handle for cancelling a scheduled event (slot index + generation,
+/// packed by the EventPool).
+using EventId = std::uint64_t;
 
 class EventPool {
  public:
-  struct Slot {
-    std::function<void()> fn;
-    SimTime time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t generation = 0;
-    bool live = false;
-  };
-
-  /// Claim a slot for an event at (time, seq); returns its EventId.
-  EventId acquire(SimTime time, std::uint64_t seq, std::function<void()> fn) {
+  /// Claim a slot for an event's callback; returns its EventId.
+  EventId acquire(std::function<void()> fn) {
     std::uint32_t index = 0;
     if (free_.empty()) {
       index = static_cast<std::uint32_t>(slots_.size());
@@ -46,22 +36,12 @@ class EventPool {
     }
     Slot& slot = slots_[index];
     slot.fn = std::move(fn);
-    slot.time = time;
-    slot.seq = seq;
     slot.live = true;
     return pack(slot.generation, index);
   }
 
-  /// The slot behind `id`, or nullptr if the id is stale (already fired
-  /// or cancelled) or was never issued.
-  [[nodiscard]] Slot* find_live(EventId id) noexcept {
-    const std::uint32_t index = slot_index(id);
-    if (index >= slots_.size()) return nullptr;
-    Slot& slot = slots_[index];
-    if (!slot.live || slot.generation != generation(id)) return nullptr;
-    return &slot;
-  }
-
+  /// False if `id` is stale (already fired or cancelled) or was never
+  /// issued.
   [[nodiscard]] bool is_live(EventId id) const noexcept {
     const std::uint32_t index = slot_index(id);
     return index < slots_.size() && slots_[index].live &&
@@ -69,7 +49,7 @@ class EventPool {
   }
 
   /// Release `id`'s slot, returning its callback. The caller must have
-  /// verified liveness (find_live). The generation bump retires every
+  /// verified liveness (is_live). The generation bump retires every
   /// outstanding handle to this slot.
   std::function<void()> release(EventId id) {
     Slot& slot = slots_[slot_index(id)];
@@ -90,6 +70,12 @@ class EventPool {
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t generation = 0;
+    bool live = false;
+  };
+
   static constexpr std::uint64_t kIndexMask = 0xffffffffu;
 
   // Indices are stored +1 so EventId 0 is never issued (it predates the
