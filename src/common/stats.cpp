@@ -32,7 +32,7 @@ std::vector<double> sorted_copy(std::span<const double> xs) {
   return v;
 }
 
-double percentile_sorted(const std::vector<double>& v, double p) {
+double percentile_sorted(std::span<const double> v, double p) {
   if (v.empty()) return 0.0;
   if (v.size() == 1) return v.front();
   const double clamped = std::clamp(p, 0.0, 100.0);
@@ -46,7 +46,11 @@ double percentile_sorted(const std::vector<double>& v, double p) {
 }  // namespace
 
 double median(std::span<const double> xs) {
-  return percentile(xs, 50.0);
+  return median_sorted(sorted_copy(xs));
+}
+
+double median_sorted(std::span<const double> sorted) {
+  return percentile_sorted(sorted, 50.0);
 }
 
 double percentile(std::span<const double> xs, double p) {
@@ -72,7 +76,7 @@ Summary summarize(std::span<const double> xs) {
   const auto v = sorted_copy(xs);
   s.mean = mean(xs);
   s.stddev = stddev(xs);
-  s.median = percentile_sorted(v, 50.0);
+  s.median = median_sorted(v);
   s.min = v.front();
   s.max = v.back();
   s.p25 = percentile_sorted(v, 25.0);

@@ -23,6 +23,10 @@ namespace impress::common {
 /// 0 for empty input. Does not modify the input.
 [[nodiscard]] double median(std::span<const double> xs);
 
+/// median() of input that is already sorted ascending: O(1), no copy.
+/// median(xs) == median_sorted(sorted xs), bit for bit.
+[[nodiscard]] double median_sorted(std::span<const double> sorted);
+
 /// Linear-interpolated percentile, p in [0, 100]; 0 for empty input.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 

@@ -1,5 +1,6 @@
 #include "core/coordinator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -7,6 +8,27 @@
 #include "common/stats.hpp"
 
 namespace impress::core {
+
+void CompositePool::insert(double value) {
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                 value);
+}
+
+void CompositePool::erase(double value) {
+  const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), value);
+  if (it == sorted_.end() || *it != value)
+    throw std::logic_error("CompositePool::erase: value not in pool");
+  sorted_.erase(it);
+}
+
+void CompositePool::assign(std::vector<double> values) {
+  sorted_ = std::move(values);
+  std::sort(sorted_.begin(), sorted_.end());
+}
+
+double CompositePool::median() const noexcept {
+  return common::median_sorted(sorted_);
+}
 
 Coordinator::Coordinator(rp::Session& session, CoordinatorConfig config)
     : session_(session),
@@ -93,6 +115,7 @@ void Coordinator::register_pipeline(std::unique_ptr<Pipeline> pipeline) {
   IMPRESS_LOG(kInfo, "coordinator")
       << "pipeline " << p->id() << (p->is_subpipeline() ? " (sub)" : "")
       << " starting at cycle " << p->cycle() + 1;
+  if (const auto composite = p->last_composite()) composites_.insert(*composite);
   process_action(p, p->start());
 }
 
@@ -139,6 +162,7 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
     }
   }
   const int cycle_before = p->cycle();
+  const auto composite_before = p->last_composite();
   Pipeline::Action action = [&] {
     if (app == "proteinmpnn" || app == "generator")
       return p->on_generator_result(
@@ -149,6 +173,13 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
       return p->on_fold_result(task->result_as<fold::Prediction>());
     throw std::logic_error("Coordinator: unknown app '" + app + "'");
   }();
+  // The pool median must see this result before process_action: finishing
+  // the pipeline reaches consider_subpipeline, which reads it.
+  if (const auto composite = p->last_composite();
+      composite != composite_before) {
+    if (composite_before) composites_.erase(*composite_before);
+    if (composite) composites_.insert(*composite);
+  }
 
   if (app == "alphafold" && action.kind == Pipeline::Action::Kind::kRunFold)
     ++fold_retries_;  // Stage-6 declining branch: next-ranked sequence
@@ -353,13 +384,6 @@ void Coordinator::on_pipeline_finished(Pipeline* pipeline) {
   consider_subpipeline(pipeline);
 }
 
-double Coordinator::pool_median_composite() const {
-  std::vector<double> values;
-  for (const auto& p : pipelines_)
-    if (const auto c = p->last_composite()) values.push_back(*c);
-  return common::median(values);
-}
-
 void Coordinator::consider_subpipeline(Pipeline* pipeline) {
   const ProtocolConfig& cfg = pipeline->config();
   if (!cfg.adaptive || !cfg.spawn_subpipelines) return;
@@ -372,7 +396,7 @@ void Coordinator::consider_subpipeline(Pipeline* pipeline) {
   const bool pruned = pipeline->finished() && pipeline->cycle() < cfg.cycles;
   const auto composite = pipeline->last_composite();
   const bool below_pool =
-      composite && *composite < pool_median_composite() - cfg.subpipeline_margin;
+      composite && *composite < composites_.median() - cfg.subpipeline_margin;
   if (!pruned && !below_pool) return;
 
   ++count;
@@ -471,6 +495,10 @@ void Coordinator::restore(const CoordinatorCheckpoint& state,
         "Coordinator::restore: pipeline count mismatch");
   resumed_ = true;
   pipelines_ = std::move(pipelines);
+  std::vector<double> composites;
+  for (const auto& p : pipelines_)
+    if (const auto c = p->last_composite()) composites.push_back(*c);
+  composites_.assign(std::move(composites));
 
   std::unordered_map<std::string, Pipeline*> by_id;
   for (const auto& p : pipelines_) by_id[p->id()] = p.get();

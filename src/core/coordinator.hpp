@@ -86,6 +86,27 @@ struct CoordinatorCheckpoint {
   std::uint64_t failed_tasks = 0;
 };
 
+/// The design pool's composites (paper §II-D) as a sorted multiset, so the
+/// decision step reads the pool median in O(1) instead of gathering and
+/// sorting every pipeline's composite per decision. median() is
+/// common::median_sorted over the sorted values: bit-identical to
+/// common::median of the same multiset in any order. Values must not be
+/// NaN (composites are clamped blends in [0, 1]).
+class CompositePool {
+ public:
+  void insert(double value);
+  /// Remove one occurrence of `value`; throws std::logic_error when the
+  /// pool holds none (the caller's bookkeeping has drifted).
+  void erase(double value);
+  /// Replace the contents with `values` (any order), sorting once.
+  void assign(std::vector<double> values);
+  [[nodiscard]] double median() const noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
+
+ private:
+  std::vector<double> sorted_;  ///< ascending
+};
+
 struct CoordinatorConfig {
   /// CONT-V execution: strictly one task in flight at any time.
   bool sequential = false;
@@ -203,7 +224,6 @@ class Coordinator {
   void maybe_checkpoint();
   void release_parked();
   [[nodiscard]] CoordinatorCheckpoint checkpoint() const;
-  [[nodiscard]] double pool_median_composite() const;
   [[nodiscard]] bool campaign_done() const;
   void notify_runtime();  ///< schedule a drain (simulated mode)
   /// Open a stage span (stage.<what>.c<N>) under the pipeline's span;
@@ -230,6 +250,11 @@ class Coordinator {
   std::unordered_map<const Pipeline*, obs::SpanId> pipeline_spans_;
   std::deque<std::pair<Pipeline*, rp::TaskDescription>> queued_;  ///< sequential mode
   std::unordered_map<std::string, int> subpipeline_count_;  ///< per target
+  /// last_composite() of every pipeline in pipelines_ that has one. Kept
+  /// current where a composite can change: register_pipeline, restore and
+  /// handle_completion (after the pipeline consumes the result, before the
+  /// resulting action can reach consider_subpipeline).
+  CompositePool composites_;
 
   std::size_t active_pipelines_ = 0;
   std::size_t root_pipelines_ = 0;

@@ -16,9 +16,10 @@ struct RawTimes {
   double stop = -1.0;
 };
 
-std::map<std::string, RawTimes> collect(const Profiler& profiler) {
+std::map<std::string, RawTimes> collect(
+    std::span<const ProfileEvent> records) {
   std::map<std::string, RawTimes> out;
-  for (const auto& e : profiler.events()) {
+  for (const auto& e : records) {
     auto& r = out[e.entity];
     if (e.event == events::kSchedule && r.schedule < 0.0) r.schedule = e.time;
     else if (e.event == events::kExecSetupStart && r.setup < 0.0) r.setup = e.time;
@@ -30,9 +31,9 @@ std::map<std::string, RawTimes> collect(const Profiler& profiler) {
 
 }  // namespace
 
-std::vector<TaskTiming> task_timings(const Profiler& profiler) {
+std::vector<TaskTiming> task_timings(std::span<const ProfileEvent> records) {
   std::vector<TaskTiming> out;
-  for (const auto& [uid, r] : collect(profiler)) {
+  for (const auto& [uid, r] : collect(records)) {
     if (r.schedule < 0.0 || r.setup < 0.0 || r.start < 0.0 || r.stop < 0.0)
       continue;
     out.push_back(TaskTiming{.uid = uid,
@@ -43,8 +44,8 @@ std::vector<TaskTiming> task_timings(const Profiler& profiler) {
   return out;
 }
 
-TimingSummary summarize_timings(const Profiler& profiler) {
-  const auto timings = task_timings(profiler);
+TimingSummary summarize_timings(std::span<const ProfileEvent> records) {
+  const auto timings = task_timings(records);
   TimingSummary s;
   s.tasks = timings.size();
   if (timings.empty()) return s;
@@ -64,11 +65,11 @@ TimingSummary summarize_timings(const Profiler& profiler) {
   return s;
 }
 
-std::vector<double> concurrency_series(const Profiler& profiler,
+std::vector<double> concurrency_series(std::span<const ProfileEvent> records,
                                        std::size_t bins, double t_end) {
   std::vector<double> out(bins, 0.0);
   if (bins == 0) return out;
-  const auto raw = collect(profiler);
+  const auto raw = collect(records);
   if (t_end <= 0.0)
     for (const auto& [uid, r] : raw) t_end = std::max(t_end, r.stop);
   if (t_end <= 0.0) return out;
@@ -87,31 +88,32 @@ std::vector<double> concurrency_series(const Profiler& profiler,
   return out;
 }
 
-RetrySummary summarize_retries(const Profiler& profiler) {
+RetrySummary summarize_retries(std::span<const ProfileEvent> records) {
   RetrySummary s;
-  for (const auto& e : profiler.events()) {
+  for (const auto& e : records) {
     if (e.event == events::kRetry) ++s.retries;
     else if (e.event == events::kTimeout) ++s.timeouts;
     else if (e.event == events::kRequeue) ++s.requeues;
     else if (e.event == events::kPilotFailed) ++s.pilot_failures;
   }
-  for (const auto& [uid, attempts] : attempt_counts(profiler)) {
+  for (const auto& [uid, attempts] : attempt_counts(records)) {
     if (attempts > 1) ++s.tasks_retried;
     s.max_attempts = std::max(s.max_attempts, attempts);
   }
   return s;
 }
 
-std::map<std::string, int> attempt_counts(const Profiler& profiler) {
+std::map<std::string, int> attempt_counts(
+    std::span<const ProfileEvent> records) {
   std::map<std::string, int> out;
-  for (const auto& e : profiler.events())
+  for (const auto& e : records)
     if (e.event == events::kSubmit) ++out[e.entity];
   return out;
 }
 
-std::size_t peak_concurrency(const Profiler& profiler) {
+std::size_t peak_concurrency(std::span<const ProfileEvent> records) {
   std::vector<std::pair<double, int>> edges;
-  for (const auto& [uid, r] : collect(profiler)) {
+  for (const auto& [uid, r] : collect(records)) {
     if (r.start < 0.0 || r.stop < 0.0) continue;
     edges.emplace_back(r.start, +1);
     edges.emplace_back(r.stop, -1);

@@ -1,12 +1,15 @@
 // Post-mortem analytics over profiler event streams — the numbers behind
 // "middleware overhead" discussions (RADICAL-Analytics style): per-task
 // wait/setup/run decomposition, concurrency profiles, and aggregate
-// overhead ratios.
+// overhead ratios. Every analysis reads `records`, a Profiler::events()
+// snapshot in record order, so a caller running several of them merges
+// and sorts the profiler's buffers once.
 
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +27,8 @@ struct TaskTiming {
 
 /// Decompose every task that reached exec_stop. Tasks missing any of the
 /// four events are skipped.
-[[nodiscard]] std::vector<TaskTiming> task_timings(const Profiler& profiler);
+[[nodiscard]] std::vector<TaskTiming> task_timings(
+    std::span<const ProfileEvent> records);
 
 struct TimingSummary {
   std::size_t tasks = 0;
@@ -37,17 +41,19 @@ struct TimingSummary {
   double overhead_fraction = 0.0;
 };
 
-[[nodiscard]] TimingSummary summarize_timings(const Profiler& profiler);
+[[nodiscard]] TimingSummary summarize_timings(
+    std::span<const ProfileEvent> records);
 
 /// Average number of concurrently *running* tasks per time bin over
 /// [0, t_end] (t_end <= 0 uses the latest event). The empirical
 /// concurrency profile behind the utilization figures.
-[[nodiscard]] std::vector<double> concurrency_series(const Profiler& profiler,
-                                                     std::size_t bins,
-                                                     double t_end = 0.0);
+[[nodiscard]] std::vector<double> concurrency_series(
+    std::span<const ProfileEvent> records, std::size_t bins,
+    double t_end = 0.0);
 
 /// Peak of the concurrency profile (exact, not binned).
-[[nodiscard]] std::size_t peak_concurrency(const Profiler& profiler);
+[[nodiscard]] std::size_t peak_concurrency(
+    std::span<const ProfileEvent> records);
 
 /// Fault-tolerance roll-up over the event stream: how much of the
 /// campaign's work was first-attempt vs recovery.
@@ -60,12 +66,13 @@ struct RetrySummary {
   int max_attempts = 0;           ///< largest attempt count observed
 };
 
-[[nodiscard]] RetrySummary summarize_retries(const Profiler& profiler);
+[[nodiscard]] RetrySummary summarize_retries(
+    std::span<const ProfileEvent> records);
 
 /// Attempts per task uid: the number of kSubmit events recorded for it
 /// (>= 1 for anything submitted; > 1 means the retry policy fired).
 [[nodiscard]] std::map<std::string, int> attempt_counts(
-    const Profiler& profiler);
+    std::span<const ProfileEvent> records);
 
 /// Roll-up of a memoization cache's behaviour over a run (the fold memo
 /// cache reports through this; see fold::FoldCache::stats).

@@ -24,11 +24,11 @@ struct Row {
 
 }  // namespace
 
-std::string render_gantt(const Profiler& profiler, double t_end,
+std::string render_gantt(std::span<const ProfileEvent> records, double t_end,
                          GanttOptions options) {
   std::map<std::string, Row> rows;
   double latest = 0.0;
-  for (const auto& e : profiler.events()) {
+  for (const auto& e : records) {
     auto& r = rows[e.entity];
     r.uid = e.entity;
     if (e.event == events::kSchedule && r.schedule < 0.0) r.schedule = e.time;

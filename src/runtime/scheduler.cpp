@@ -13,7 +13,22 @@ std::string_view to_string(SchedulerPolicy p) noexcept {
   return "?";
 }
 
+Scheduler::Shape& Scheduler::shape_of(const TaskPtr& task) {
+  const hpc::ResourceRequest& request = task->description().resources;
+  for (Shape& shape : shapes_)
+    if (shape.request == request) return shape;
+  return shapes_.emplace_back(Shape{request, 0, false});
+}
+
+void Scheduler::uncount(const TaskPtr& task) {
+  Shape& shape = shape_of(task);
+  if (--shape.queued > 0) return;
+  shape = shapes_.back();
+  shapes_.pop_back();
+}
+
 void Scheduler::enqueue(TaskPtr task) {
+  ++shape_of(task).queued;
   if (policy_ == SchedulerPolicy::kFifo) {
     queue_.push_back(std::move(task));
     return;
@@ -33,6 +48,7 @@ void Scheduler::enqueue(TaskPtr task) {
 bool Scheduler::remove(const TaskPtr& task) {
   const auto it = std::find(queue_.begin(), queue_.end(), task);
   if (it == queue_.end()) return false;
+  uncount(task);
   queue_.erase(it);
   return true;
 }
@@ -40,6 +56,7 @@ bool Scheduler::remove(const TaskPtr& task) {
 std::deque<TaskPtr> Scheduler::drain() {
   std::deque<TaskPtr> out;
   out.swap(queue_);
+  shapes_.clear();
   return out;
 }
 
@@ -51,6 +68,7 @@ std::size_t Scheduler::try_schedule() {
       if (!alloc) break;  // strict order: head blocks the rest
       TaskPtr task = std::move(queue_.front());
       queue_.pop_front();
+      uncount(task);
       place_(std::move(task), std::move(*alloc));
       ++started;
     }
@@ -58,15 +76,28 @@ std::size_t Scheduler::try_schedule() {
   }
 
   // Backfill: the queue is already priority-ordered (see enqueue); place
-  // everything that fits right now, in order.
-  for (auto it = queue_.begin(); it != queue_.end();) {
+  // everything that fits right now, in order. Nothing is released during
+  // the pass, so a shape that failed once fails for the rest of it (see
+  // the header): skip its tasks, and stop when every queued shape failed.
+  for (Shape& shape : shapes_) shape.failed = false;
+  std::size_t failed = 0;
+  for (auto it = queue_.begin();
+       it != queue_.end() && failed < shapes_.size();) {
+    Shape& shape = shape_of(*it);
+    if (shape.failed) {
+      ++it;
+      continue;
+    }
     auto alloc = pool_.allocate((*it)->description().resources);
     if (!alloc) {
+      shape.failed = true;
+      ++failed;
       ++it;
       continue;
     }
     TaskPtr task = std::move(*it);
     it = queue_.erase(it);
+    uncount(task);
     place_(std::move(task), std::move(*alloc));
     ++started;
   }

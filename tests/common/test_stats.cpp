@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace impress::common {
 namespace {
@@ -46,6 +49,32 @@ TEST(Median, DoesNotMutateInput) {
   (void)median(xs);
   EXPECT_EQ(xs[0], 3.0);
   EXPECT_EQ(xs[1], 1.0);
+}
+
+TEST(MedianSorted, EmptySingleOddEven) {
+  EXPECT_EQ(median_sorted({}), 0.0);
+  const std::vector<double> one{-2.5};
+  EXPECT_EQ(median_sorted(one), -2.5);
+  const std::vector<double> odd{-3.0, 0.5, 7.0};
+  EXPECT_EQ(median_sorted(odd), 0.5);
+  const std::vector<double> even{-4.0, 1.0, 2.0, 9.0};
+  EXPECT_EQ(median_sorted(even), 1.5);
+}
+
+TEST(MedianSorted, MatchesMedianOfUnsortedInputBitForBit) {
+  // Callers that keep their sample sorted (the coordinator's design pool)
+  // must get exactly the double median() returns for the same multiset in
+  // any order: EXPECT_EQ, not EXPECT_DOUBLE_EQ. Small integers times 0.1
+  // give duplicates, negatives and inexact even-n midpoints.
+  Rng rng(7);
+  for (std::size_t n = 0; n < 40; ++n) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i)
+      xs.push_back(static_cast<double>(rng.below(9)) * 0.1 - 0.4);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(median_sorted(sorted), median(xs)) << "n=" << n;
+  }
 }
 
 TEST(Percentile, Endpoints) {

@@ -12,6 +12,7 @@
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "protein/datasets.hpp"
+#include "support/temp_dir.hpp"
 
 namespace impress::core {
 namespace {
@@ -30,10 +31,7 @@ std::vector<protein::DesignTarget> targets2() {
 class CheckpointDoc : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("impress_ckpt_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
+    dir_ = test_support::make_temp_dir("impress_ckpt_");
   }
   void TearDown() override { fs::remove_all(dir_); }
   std::string path() const { return (dir_ / "checkpoint.json").string(); }

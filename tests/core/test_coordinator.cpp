@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "core/calibration.hpp"
 #include "protein/datasets.hpp"
 #include "runtime/session.hpp"
@@ -186,6 +190,76 @@ TEST(Coordinator, ResultsCoverEveryTarget) {
   for (const auto& r : coord.results()) names.insert(r.target_name);
   EXPECT_EQ(names.size(), f.targets.size());
 }
+
+TEST(CompositePool, EmptyPoolMedianIsZero) {
+  CompositePool pool;
+  EXPECT_EQ(pool.median(), 0.0);
+  pool.insert(0.25);
+  pool.erase(0.25);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.median(), 0.0);
+}
+
+TEST(CompositePool, EraseOfAbsentValueThrows) {
+  CompositePool pool;
+  EXPECT_THROW(pool.erase(0.5), std::logic_error);
+  pool.insert(0.5);
+  EXPECT_THROW(pool.erase(0.25), std::logic_error);
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+class CompositePoolExactness : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The coordinator's O(1) pool median must be the very double the old
+// gather-and-sort produced: after every insert or erase, compare against a
+// fresh common::median over the same multiset with EXPECT_EQ (bit-exact).
+// Values come from a small grid of negatives and positives, so duplicates
+// are common. Each round grows the pool through odd and even sizes with
+// interleaved erases, then empties it.
+TEST_P(CompositePoolExactness, MedianMatchesFreshMedianBitForBit) {
+  common::Rng rng(GetParam());
+  CompositePool pool;
+  std::vector<double> multiset;  // same values, insertion order
+  auto erase_at = [&](std::size_t i) {
+    pool.erase(multiset[i]);
+    multiset.erase(multiset.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  auto check = [&] {
+    ASSERT_EQ(pool.size(), multiset.size());
+    EXPECT_EQ(pool.median(), common::median(multiset));
+  };
+  for (int round = 0; round < 12; ++round) {
+    const int steps = 20 + rng.range(0, 200);
+    for (int step = 0; step < steps; ++step) {
+      if (multiset.empty() || rng.below(100) < 65) {
+        const double v = static_cast<double>(rng.range(-40, 40)) / 7.0 +
+                         static_cast<double>(rng.below(3)) * 0.1;
+        pool.insert(v);
+        multiset.push_back(v);
+      } else {
+        erase_at(rng.below(static_cast<std::uint32_t>(multiset.size())));
+      }
+      check();
+    }
+    while (!multiset.empty()) {
+      erase_at(rng.below(static_cast<std::uint32_t>(multiset.size())));
+      check();
+    }
+    EXPECT_EQ(pool.median(), 0.0);
+  }
+
+  // assign() (the checkpoint-restore path) sorts once and agrees too.
+  for (int i = 0; i < 51; ++i)
+    multiset.push_back(static_cast<double>(rng.range(-40, 40)) / 7.0);
+  pool.assign(multiset);
+  check();
+  multiset.pop_back();
+  pool.assign(multiset);
+  check();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompositePoolExactness,
+                         ::testing::Values(1u, 42u, 1234u));
 
 }  // namespace
 }  // namespace impress::core

@@ -14,6 +14,7 @@
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/session_dump.hpp"
+#include "support/temp_dir.hpp"
 
 namespace impress::core {
 namespace {
@@ -28,10 +29,7 @@ std::string slurp(const std::string& path) {
 class TempDir : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("impress_persist_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
+    dir_ = test_support::make_temp_dir("impress_persist_");
   }
   void TearDown() override {
     common::set_atomic_write_test_hook(nullptr);

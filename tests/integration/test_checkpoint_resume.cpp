@@ -14,6 +14,7 @@
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "protein/datasets.hpp"
+#include "support/temp_dir.hpp"
 
 namespace impress::core {
 namespace {
@@ -91,10 +92,7 @@ void expect_identical_observability(const CampaignResult& a,
 class CheckpointResume : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("impress_resume_" +
-             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(base_);
+    base_ = test_support::make_temp_dir("impress_resume_");
   }
   void TearDown() override {
     common::set_atomic_write_test_hook(nullptr);
@@ -199,8 +197,8 @@ class CadenceSweep : public ::testing::TestWithParam<int> {};
 TEST_P(CadenceSweep, DeterminismRandomizedBoundaries) {
   // Randomized (but seeded) cadence/kill-point combinations: the resume
   // contract cannot depend on where the cut happens to land.
-  const auto base = fs::temp_directory_path() /
-                    ("impress_sweep_" + std::to_string(GetParam()));
+  const auto base = test_support::make_temp_dir(
+      "impress_sweep_" + std::to_string(GetParam()) + "_");
   fs::create_directories(base / "ref");
   fs::create_directories(base / "kill");
   std::uint64_t s = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
@@ -236,8 +234,8 @@ CampaignConfig spot_campaign(std::uint64_t seed) {
 class SpotReclaimSweep : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("impress_spot_" + std::to_string(GetParam()));
+    base_ = test_support::make_temp_dir(
+        "impress_spot_" + std::to_string(GetParam()) + "_");
     fs::create_directories(base_ / "ref");
     fs::create_directories(base_ / "kill");
   }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace impress::rp {
 namespace {
@@ -192,6 +197,173 @@ TEST_P(SchedulerPolicySweep, EventuallyDrainsQueue) {
 INSTANTIATE_TEST_SUITE_P(Policies, SchedulerPolicySweep,
                          ::testing::Values(SchedulerPolicy::kFifo,
                                            SchedulerPolicy::kBackfill));
+
+// The backfill pass as it was before shape memoization: probe every queued
+// task on every pass. Reference model for the equivalence fuzz below.
+class FullWalkBackfill {
+ public:
+  explicit FullWalkBackfill(hpc::ResourcePool& pool) : pool_(pool) {}
+
+  void enqueue(TaskPtr task) {
+    const int priority = task->description().priority;
+    const auto it = std::upper_bound(
+        queue_.begin(), queue_.end(), priority,
+        [](int p, const TaskPtr& t) { return p > t->description().priority; });
+    queue_.insert(it, std::move(task));
+  }
+  bool remove(const TaskPtr& task) {
+    const auto it = std::find(queue_.begin(), queue_.end(), task);
+    if (it == queue_.end()) return false;
+    queue_.erase(it);
+    return true;
+  }
+  std::deque<TaskPtr> drain() {
+    std::deque<TaskPtr> out;
+    out.swap(queue_);
+    return out;
+  }
+  template <typename Place>
+  std::size_t try_schedule(Place&& place) {
+    std::size_t started = 0;
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      auto alloc = pool_.allocate((*it)->description().resources);
+      if (!alloc) {
+        ++it;
+        continue;
+      }
+      TaskPtr task = std::move(*it);
+      it = queue_.erase(it);
+      place(std::move(task), std::move(*alloc));
+      ++started;
+    }
+    return started;
+  }
+  [[nodiscard]] const std::deque<TaskPtr>& queued() const { return queue_; }
+
+ private:
+  hpc::ResourcePool& pool_;
+  std::deque<TaskPtr> queue_;
+};
+
+std::vector<hpc::NodeSpec> fuzz_nodes() {
+  hpc::NodeSpec small{.name = "small",
+                      .cores = 12,
+                      .gpus = 2,
+                      .mem_gb = 48.0,
+                      .gpu_mem_gb = 16.0};
+  return {hpc::amarel_node(), small};
+}
+
+// IM-RP-like shapes (full fold, feature-reuse fold, MPNN, refine) plus MPS
+// slices and a CPU-only sliver, so memory, device memory and fractional
+// GPUs all bind at some point.
+std::vector<hpc::ResourceRequest> fuzz_shapes() {
+  return {
+      {.cores = 8, .gpus = 1, .mem_gb = 48.0, .gpu_mem_gb = 10.0},
+      {.cores = 2, .gpus = 1, .mem_gb = 16.0, .gpu_mem_gb = 10.0},
+      {.cores = 1, .gpus = 1, .mem_gb = 8.0, .gpu_mem_gb = 4.0},
+      {.cores = 4, .gpus = 0, .mem_gb = 4.0},
+      {.cores = 1,
+       .gpus = 3,
+       .mem_gb = 2.0,
+       .gpu_mem_gb = 3.0,
+       .gpu_slice_milli = 250},
+      {.cores = 3, .gpus = 0, .mem_gb = 0.0},
+  };
+}
+
+void expect_same_allocation(const hpc::Allocation& a,
+                            const hpc::Allocation& b) {
+  EXPECT_EQ(a.node, b.node);
+  EXPECT_EQ(a.cores, b.cores);
+  EXPECT_EQ(a.gpus, b.gpus);
+  EXPECT_EQ(a.mem_gb, b.mem_gb);
+  EXPECT_EQ(a.gpu_slice_milli, b.gpu_slice_milli);
+  EXPECT_EQ(a.gpu_mem_gb, b.gpu_mem_gb);
+}
+
+class BackfillEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Shape memoization must not change a single decision: the same seeded
+// interleaving of enqueue / remove / try_schedule / release / drain on the
+// memoized Scheduler and on the full-walk reference, each with its own
+// pool, yields the same placements, allocations and queue order after
+// every step.
+TEST_P(BackfillEquivalence, MatchesFullWalkReference) {
+  common::Rng rng(GetParam());
+  hpc::ResourcePool pool(fuzz_nodes());
+  hpc::ResourcePool ref_pool(fuzz_nodes());
+  std::vector<std::pair<TaskPtr, hpc::Allocation>> placed;
+  std::vector<std::pair<TaskPtr, hpc::Allocation>> ref_placed;
+  Scheduler sched(SchedulerPolicy::kBackfill, pool,
+                  [&](TaskPtr t, hpc::Allocation a) {
+                    placed.emplace_back(std::move(t), std::move(a));
+                  });
+  FullWalkBackfill ref(ref_pool);
+  const auto shapes = fuzz_shapes();
+  std::vector<TaskPtr> made;  // every task ever enqueued (remove targets)
+  std::size_t compared = 0;   // entries of `placed` already checked
+  std::size_t placements = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint32_t op = rng.below(100);
+    if (op < 45) {
+      hpc::ResourceRequest shape = shapes[rng.below(
+          static_cast<std::uint32_t>(shapes.size()))];
+      auto td = make_simple_task("t" + std::to_string(made.size()),
+                                 shape.cores, shape.gpus, 1.0);
+      td.resources = shape;
+      td.priority = rng.range(0, 2);
+      auto task = std::make_shared<Task>("task." + td.name, std::move(td));
+      made.push_back(task);
+      sched.enqueue(task);
+      ref.enqueue(task);
+    } else if (op < 55 && !made.empty()) {
+      const TaskPtr& victim =
+          made[rng.below(static_cast<std::uint32_t>(made.size()))];
+      EXPECT_EQ(sched.remove(victim), ref.remove(victim));
+    } else if (op < 80) {
+      const std::size_t n = sched.try_schedule();
+      const std::size_t ref_n = ref.try_schedule(
+          [&](TaskPtr t, hpc::Allocation a) {
+            ref_placed.emplace_back(std::move(t), std::move(a));
+          });
+      EXPECT_EQ(n, ref_n);
+      placements += n;
+    } else if (op < 98 && !placed.empty()) {
+      // Complete one running task on both sides.
+      const std::size_t i =
+          rng.below(static_cast<std::uint32_t>(placed.size()));
+      pool.release(placed[i].second);
+      ref_pool.release(ref_placed[i].second);
+      placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(i));
+      ref_placed.erase(ref_placed.begin() + static_cast<std::ptrdiff_t>(i));
+      --compared;
+    } else if (op >= 98) {
+      const auto drained = sched.drain();
+      const auto ref_drained = ref.drain();
+      ASSERT_EQ(drained.size(), ref_drained.size());
+      for (std::size_t i = 0; i < drained.size(); ++i)
+        EXPECT_EQ(drained[i], ref_drained[i]);
+    }
+
+    ASSERT_EQ(placed.size(), ref_placed.size()) << "step " << step;
+    for (; compared < placed.size(); ++compared) {
+      EXPECT_EQ(placed[compared].first, ref_placed[compared].first);
+      expect_same_allocation(placed[compared].second,
+                             ref_placed[compared].second);
+    }
+    ASSERT_EQ(sched.queued().size(), ref.queued().size()) << "step " << step;
+    for (std::size_t i = 0; i < sched.queued().size(); ++i)
+      ASSERT_EQ(sched.queued()[i], ref.queued()[i]) << "step " << step;
+    ASSERT_EQ(pool.free_cores(), ref_pool.free_cores());
+    ASSERT_EQ(pool.free_gpu_milli(), ref_pool.free_gpu_milli());
+  }
+  EXPECT_GT(placements, 300u);  // the workload really placed and released
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BackfillEquivalence,
+                         ::testing::Values(1u, 42u, 1234u));
 
 }  // namespace
 }  // namespace impress::rp
