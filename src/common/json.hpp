@@ -94,4 +94,10 @@ class Json {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
 
+/// Append the text of a finite double, exactly as printf writes it: "%.0f"
+/// for integral values below 1e15, "%.17g" for all others (which
+/// round-trips every bit). Json::dump and the Prometheus exporter share
+/// this; each spells non-finite values itself (JSON: null).
+void append_finite_number(double d, std::string& out);
+
 }  // namespace impress::common

@@ -110,7 +110,8 @@ void FoldCache::insert(std::uint64_t key, Prediction prediction) {
 Prediction FoldCache::predict(const AlphaFold& folder,
                               const protein::Complex& complex,
                               const protein::FitnessLandscape& landscape,
-                              common::Rng& rng) {
+                              common::Rng& rng,
+                              const std::function<void()>& on_miss) {
   const std::uint64_t k =
       key(content_key(complex, landscape, folder.config()), rng);
   // Visible in the trace as a child of the executing attempt span.
@@ -120,6 +121,7 @@ Prediction FoldCache::predict(const AlphaFold& folder,
     return std::move(*cached);
   }
   span.attr("cache", "miss");
+  if (on_miss) on_miss();
   Prediction fresh = folder.predict(complex, landscape, rng);
   insert(k, fresh);
   return fresh;

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -65,11 +66,14 @@ class FoldCache {
   [[nodiscard]] static std::uint64_t key(std::uint64_t content_key,
                                          const common::Rng& rng) noexcept;
 
-  /// Memoized AlphaFold::predict. Thread-safe.
+  /// Memoized AlphaFold::predict. Thread-safe. `on_miss`, when set, runs
+  /// on a miss just before the model call (the inference server accounts
+  /// its GPU dispatch there); a hit never calls it.
   [[nodiscard]] Prediction predict(const AlphaFold& folder,
                                    const protein::Complex& complex,
                                    const protein::FitnessLandscape& landscape,
-                                   common::Rng& rng);
+                                   common::Rng& rng,
+                                   const std::function<void()>& on_miss = {});
 
   [[nodiscard]] std::optional<Prediction> lookup(std::uint64_t key);
   void insert(std::uint64_t key, Prediction prediction);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace impress::infer {
 
 double GpuCostModel::batch_latency_s(std::uint32_t n,
@@ -104,23 +102,16 @@ fold::Prediction InferenceServer::fold(
     const protein::FitnessLandscape& landscape, common::Rng& rng,
     double now_s) {
   if (cache) {
-    // Mirror FoldCache::predict exactly — same key, span, lookup/insert
-    // order and counter updates — so campaigns with and without a server
-    // agree on every cache statistic, not just the science.
-    const std::uint64_t k = fold::FoldCache::key(
-        fold::FoldCache::content_key(complex, landscape, folder.config()),
-        rng);
-    obs::ScopedSpan span = obs::ambient_span("fold.cache");
-    if (auto cached = cache->lookup(k)) {
-      span.attr("cache", "hit");
-      record_hit(fold_);
-      return std::move(*cached);
-    }
-    span.attr("cache", "miss");
-    dispatch(fold_, config_.fold_cost, now_s);
-    fold::Prediction fresh = folder.predict(complex, landscape, rng);
-    cache->insert(k, fresh);
-    return fresh;
+    // The cache does the lookup, insert and counting, so campaigns with
+    // and without a server agree on every cache statistic.
+    bool missed = false;
+    fold::Prediction prediction =
+        cache->predict(folder, complex, landscape, rng, [&] {
+          missed = true;
+          dispatch(fold_, config_.fold_cost, now_s);
+        });
+    if (!missed) record_hit(fold_);
+    return prediction;
   }
   dispatch(fold_, config_.fold_cost, now_s);
   return folder.predict(complex, landscape, rng);

@@ -12,11 +12,11 @@
 //
 // Determinism contract: batching on/off, batch size, linger, cost models
 // and GPU speed factors are bit-unobservable in campaign results. fold()
-// replicates FoldCache::predict exactly (same key, same lookup/insert
-// sequence, same rng advance) and design() runs the generator call
-// unchanged — the server adds counters, never behaviour. What batching
-// *would* have changed — per-dispatch GPU seconds — is reported as
-// modeled latency per stream:
+// goes through FoldCache::predict itself, accounting its dispatch in the
+// cache's miss hook, and design() runs the generator call unchanged —
+// the server adds counters, never behaviour. What batching *would* have
+// changed — per-dispatch GPU seconds — is reported as modeled latency
+// per stream:
 //
 //   batch_latency(n) = (setup_s + n * per_item_s) / speed_factor
 //
@@ -145,11 +145,10 @@ class InferenceServer {
   InferenceServer();  ///< default Config
   explicit InferenceServer(Config config);
 
-  /// Fold request at virtual time now_s. With a cache, replicates
-  /// FoldCache::predict bit-for-bit (same key derivation, lookup/insert
-  /// sequence and counter updates); a hit skips the GPU dispatch and is
-  /// accounted as such. Thread-safe; the model call runs outside the
-  /// server lock.
+  /// Fold request at virtual time now_s. With a cache, runs
+  /// FoldCache::predict and accounts the GPU dispatch only on a miss; a
+  /// hit is accounted as such. Thread-safe; the model call runs outside
+  /// the server lock.
   [[nodiscard]] fold::Prediction fold(
       const fold::AlphaFold& folder,
       const std::shared_ptr<fold::FoldCache>& cache,

@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <unordered_map>
 
@@ -12,16 +11,14 @@ namespace {
 using common::Json;
 
 /// Prometheus float formatting: integers render bare, everything else
-/// with enough digits to round-trip.
+/// with enough digits to round-trip; non-finite values as printf spells
+/// them.
 std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  if (std::isnan(v)) return std::signbit(v) ? "-nan" : "nan";
+  if (std::isinf(v)) return v < 0 ? "-inf" : "inf";
+  std::string out;
+  common::append_finite_number(v, out);
+  return out;
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "common/rng.hpp"
 
 namespace impress::common {
 namespace {
@@ -231,6 +235,65 @@ TEST(Json, NumberRoundTripRandomBitPatterns) {
     expect_number_round_trip(x);
     ++tested;
   }
+}
+
+// The round-trip tests above would still pass if dump() switched to
+// shortest round-trip text, which would change the bytes of every
+// checkpoint, session dump and trace file. This pins the text itself to
+// printf: "%.0f" for integral values below 1e15, "%.17g" for the rest.
+std::string printf_number_text(double x) {
+  char buf[64];
+  if (x == std::floor(x) && std::fabs(x) < 1e15)
+    std::snprintf(buf, sizeof buf, "%.0f", x);
+  else
+    std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+TEST(Json, NumberTextMatchesPrintf) {
+  int mismatches = 0;
+  const auto check = [&](double x) {
+    const std::string text = Json(x).dump();
+    if (text == printf_number_text(x)) return;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(x) << " dumped as "
+                    << text << ", printf gives " << printf_number_text(x);
+  };
+
+  for (double x :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::bit_cast<double>(std::uint64_t{0x000fffffffffffffULL}),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), 1e21, 1e22, -1e21, -1e22,
+        999999999999999.0, 1e15, -1e15, 1e15 + 2.0})
+    check(x);
+  for (double edge : {1e15, -1e15}) {
+    check(std::nextafter(edge, 0.0));
+    check(std::nextafter(edge, 2.0 * edge));
+  }
+
+  // Seeded xorshift over raw bit patterns; non-finite encodings dump as
+  // null and are covered by NonFiniteBecomesNull.
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (int tested = 0; tested < 1'000'000;) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const double x = std::bit_cast<double>(state);
+    if (!std::isfinite(x)) continue;
+    check(x);
+    ++tested;
+  }
+
+  // CA coordinates, the bulk of every checkpoint's fold-cache entries.
+  Rng rng(7);
+  for (int i = 0; i < 200'000; ++i) check(rng.uniform(-200.0, 200.0));
+
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, EqualityIsDeep) {

@@ -9,8 +9,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/shard.hpp"
 #include "protein/datasets.hpp"
 #include "support/temp_dir.hpp"
 
@@ -101,6 +103,33 @@ TEST_F(CheckpointDoc, LoaderRejectsWrongKindAndVersion) {
                std::invalid_argument);
   EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(3.0)),
                std::invalid_argument);
+}
+
+// Every byte a fabric worker ships: pdz_benchmark(9) in 3 shards with a
+// checkpoint every 5 completions, each sink document dumped as the wire
+// does. The digest and size were recorded from the snprintf-based writer;
+// any change to number or string text, key order or document content
+// moves them.
+TEST_F(CheckpointDoc, BytesMatchParentDigest) {
+  constexpr std::size_t kParentDocuments = 21;
+  constexpr std::size_t kParentBytes = 15'453'184;
+  constexpr std::uint64_t kParentDigest = 15428209619703515355ULL;
+
+  const auto targets = protein::pdz_benchmark(9);
+  const ShardPlan plan = ShardPlan::contiguous(targets, 3);
+  CampaignConfig config = shard_campaign_config(im_rp_campaign(42), 5);
+  std::string shipped;
+  std::size_t documents = 0;
+  config.checkpoint.sink = [&](const CampaignCheckpoint& doc) {
+    shipped += to_json(doc).dump();
+    ++documents;
+  };
+  for (std::size_t s = 0; s < plan.shards.size(); ++s)
+    (void)Campaign(config).run(plan.targets_for(s, targets));
+
+  EXPECT_EQ(documents, kParentDocuments);
+  EXPECT_EQ(shipped.size(), kParentBytes);
+  EXPECT_EQ(common::stable_hash(shipped), kParentDigest);
 }
 
 TEST(FoldCacheSnapshot, RoundTripPreservesContentsAndRecency) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -265,6 +267,22 @@ TEST(Export, PrometheusTextShapes) {
             std::string::npos);
   EXPECT_NE(text.find("impress_task_run_seconds_count 6\n"),
             std::string::npos);
+}
+
+// Gauge values share the JSON writer's finite-number text; non-finite
+// values keep printf's spelling rather than JSON's null.
+TEST(Export, PrometheusNumberText) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MetricsSnapshot snap;
+  snap.gauges = {{"a", inf},  {"b", -inf},  {"c", nan},  {"d", -nan},
+                 {"e", 0.1},  {"f", 1e15},  {"g", 1e21}, {"h", -0.0}};
+  const std::string text = prometheus_text(snap);
+  for (const char* line : {"\na inf\n", "\nb -inf\n", "\nc nan\n",
+                           "\nd -nan\n", "\ne 0.10000000000000001\n",
+                           "\nf 1000000000000000\n", "\ng 1e+21\n",
+                           "\nh -0\n"})
+    EXPECT_NE(text.find(line), std::string::npos) << line;
 }
 
 }  // namespace
