@@ -11,36 +11,6 @@ namespace impress::common {
 
 namespace {
 
-void dump_string(std::string_view s, std::string& out) {
-  out += '"';
-  // Bytes that need no escape are copied a run at a time.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s.substr(run, i - run));
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default: {
-        // Other control bytes: a u-escape with four lowercase hex digits.
-        static constexpr char kHex[] = "0123456789abcdef";
-        const char escape[] = {'\\', 'u',          '0',
-                               '0',  kHex[c >> 4], kHex[c & 0xF]};
-        out.append(escape, sizeof escape);
-      }
-    }
-  }
-  out.append(s.substr(run));
-  out += '"';
-}
-
 void dump_number(double d, std::string& out) {
   if (!std::isfinite(d)) {
     out += "null";  // JSON has no inf/nan
@@ -276,7 +246,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
   } else if (v.is_number()) {
     dump_number(v.as_number(), out);
   } else if (v.is_string()) {
-    dump_string(v.as_string(), out);
+    append_json_string(v.as_string(), out);
   } else if (v.is_array()) {
     const auto& arr = v.as_array();
     if (arr.empty()) {
@@ -303,7 +273,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
       if (!first) out += ',';
       first = false;
       dump_container_sep(out, indent, depth + 1);
-      dump_string(key, out);
+      append_json_string(key, out);
       out += indent > 0 ? ": " : ":";
       dump_impl(val, out, indent, depth + 1);
     }
@@ -313,6 +283,36 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
 }
 
 }  // namespace
+
+void append_json_string(std::string_view s, std::string& out) {
+  out += '"';
+  // Bytes that need no escape are copied a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        // Other control bytes: a u-escape with four lowercase hex digits.
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u',          '0',
+                               '0',  kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
+    }
+  }
+  out.append(s.substr(run));
+  out += '"';
+}
 
 void append_finite_number(double d, std::string& out) {
   // to_chars with an explicit precision formats "as if by printf", so the

@@ -100,4 +100,10 @@ class Json {
 /// this; each spells non-finite values itself (JSON: null).
 void append_finite_number(double d, std::string& out);
 
+/// Append `s` as a quoted JSON string, escaping '"', '\\' and control
+/// bytes (other bytes pass through). Json::dump writes every string and
+/// object key with it; streaming writers that must match dump()'s bytes
+/// call it too.
+void append_json_string(std::string_view s, std::string& out);
+
 }  // namespace impress::common

@@ -183,6 +183,7 @@ CampaignResult Campaign::execute(
   // includes its own marker and a resumed tracer/registry continues
   // exactly where the uninterrupted run's would.
   std::size_t local_writes = 0;
+  CheckpointWriter checkpoint_writer;
   const std::uint64_t prior_ordinal =
       resume_from != nullptr ? resume_from->ordinal : 0;
   if (config_.checkpoint.enabled()) {
@@ -222,7 +223,7 @@ CampaignResult Campaign::execute(
             doc.fold_cache = coordinator_config.fold_cache->snapshot();
           doc.generator_state = generator->checkpoint_state();
           if (!config_.checkpoint.directory.empty())
-            save_checkpoint(doc, config_.checkpoint.path());
+            checkpoint_writer.save(doc, config_.checkpoint.path());
           if (config_.checkpoint.sink) config_.checkpoint.sink(doc);
           if (config_.checkpoint.halt_after > 0 &&
               local_writes >= config_.checkpoint.halt_after &&

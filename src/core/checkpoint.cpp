@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,14 +16,254 @@ namespace {
 constexpr int kSchemaVersion = 2;
 constexpr std::string_view kKind = "impress.checkpoint";
 
-// --- uint64 <-> hex string (JSON numbers are doubles; exact bits matter
-// for rng states, cache keys, span ids and sequence numbers) ---
+// --- write side: each function appends exactly what Json::dump writes
+// for the value (object keys in std::map order, no whitespace) ---
 
-common::Json hex_u64(std::uint64_t v) {
+void put_number(double d, std::string& out) {
+  if (std::isfinite(d))
+    common::append_finite_number(d, out);
+  else
+    out += "null";  // as Json::dump: JSON has no inf/nan
+}
+
+void put_bool(bool b, std::string& out) { out += b ? "true" : "false"; }
+
+// uint64 values are hex strings (JSON numbers are doubles; exact bits
+// matter for rng states, cache keys, span ids and sequence numbers).
+void put_hex(std::uint64_t v, std::string& out) {
   char buf[17];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v, 16);
-  return common::Json(std::string(buf, end));
+  out += '"';
+  out.append(buf, end);
+  out += '"';
 }
+
+/// `[each(x), ...]` over a range.
+template <class Range, class Each>
+void put_array(const Range& range, std::string& out, Each&& each) {
+  out += '[';
+  bool first = true;
+  for (const auto& x : range) {
+    if (!first) out += ',';
+    first = false;
+    each(x);
+  }
+  out += ']';
+}
+
+/// `{"name":each(value), ...}` over a std::map keyed by string, whose
+/// order is the order Json::Object dumps in.
+template <class Map, class Each>
+void put_map(const Map& map, std::string& out, Each&& each) {
+  out += '{';
+  bool first = true;
+  for (const auto& [name, value] : map) {
+    if (!first) out += ',';
+    first = false;
+    common::append_json_string(name, out);
+    out += ':';
+    each(value);
+  }
+  out += '}';
+}
+
+void put_rng(const common::Rng::State& s, std::string& out) {
+  out += "{\"cached_normal\":";
+  put_number(s.cached_normal, out);
+  out += ",\"has_cached_normal\":";
+  put_bool(s.has_cached_normal, out);
+  out += ",\"inc\":";
+  put_hex(s.inc, out);
+  out += ",\"state\":";
+  put_hex(s.state, out);
+  out += '}';
+}
+
+void put_structure(const protein::Structure& s, std::string& out) {
+  out += "{\"chains\":";
+  put_array(s.chains(), out, [&](const protein::Chain& chain) {
+    out += "{\"ca\":";
+    put_array(chain.ca, out, [&](const protein::Vec3& v) {
+      out += '[';
+      put_number(v.x, out);
+      out += ',';
+      put_number(v.y, out);
+      out += ',';
+      put_number(v.z, out);
+      out += ']';
+    });
+    out += ",\"id\":";
+    common::append_json_string(std::string_view(&chain.id, 1), out);
+    out += ",\"sequence\":";
+    common::append_json_string(chain.sequence.to_string(), out);
+    out += '}';
+  });
+  out += ",\"name\":";
+  common::append_json_string(s.name(), out);
+  out += ",\"plddt\":";
+  put_array(s.plddt(), out, [&](double p) { put_number(p, out); });
+  out += '}';
+}
+
+void put_fold_metrics(const fold::FoldMetrics& m, std::string& out) {
+  out += "{\"ipae\":";
+  put_number(m.ipae, out);
+  out += ",\"plddt\":";
+  put_number(m.plddt, out);
+  out += ",\"ptm\":";
+  put_number(m.ptm, out);
+  out += '}';
+}
+
+void put_cache_entry(const fold::FoldCache::Snapshot::Entry& e,
+                     std::string& out) {
+  out += "{\"key\":";
+  put_hex(e.key, out);
+  out += ",\"prediction\":{\"best_index\":";
+  put_number(static_cast<double>(e.prediction.best_index), out);
+  out += ",\"models\":";
+  put_array(e.prediction.models, out, [&](const fold::ModelPrediction& m) {
+    out += "{\"metrics\":";
+    put_fold_metrics(m.metrics, out);
+    out += ",\"structure\":";
+    put_structure(m.structure, out);
+    out += '}';
+  });
+  out += "}}";
+}
+
+void put_pipeline(const Pipeline::Snapshot& p, std::string& out) {
+  out += "{\"candidates\":";
+  put_array(p.candidates, out, [&](const mpnn::ScoredSequence& c) {
+    out += "{\"log_likelihood\":";
+    put_number(c.log_likelihood, out);
+    out += ",\"sequence\":";
+    common::append_json_string(c.sequence.to_string(), out);
+    out += '}';
+  });
+  out += ",\"current\":";
+  put_structure(p.current.structure, out);
+  out += ",\"cycle\":";
+  put_number(p.cycle, out);
+  out += ",\"history\":";
+  put_array(p.history, out, [&](const IterationRecord& rec) {
+    out += "{\"accepted\":";
+    put_bool(rec.accepted, out);
+    out += ",\"cycle\":";
+    put_number(rec.cycle, out);
+    out += ",\"metrics\":";
+    put_fold_metrics(rec.metrics, out);
+    out += ",\"retries\":";
+    put_number(rec.retries, out);
+    out += ",\"sequence\":";
+    common::append_json_string(rec.sequence, out);
+    out += ",\"true_fitness\":";
+    put_number(rec.true_fitness, out);
+    out += '}';
+  });
+  out += ",\"id\":";
+  common::append_json_string(p.id, out);
+  out += ",\"is_sub\":";
+  put_bool(p.is_sub, out);
+  if (p.last_metrics) {
+    out += ",\"last_metrics\":";
+    put_fold_metrics(*p.last_metrics, out);
+  }
+  out += ",\"next_candidate\":";
+  put_number(static_cast<double>(p.next_candidate), out);
+  out += ",\"pending_candidate\":";
+  put_number(static_cast<double>(p.pending_candidate), out);
+  out += ",\"pending_reuse_features\":";
+  put_bool(p.pending_reuse_features, out);
+  out += ",\"retries_this_cycle\":";
+  put_number(p.retries_this_cycle, out);
+  out += ",\"rng\":";
+  put_rng(p.rng, out);
+  out += ",\"state\":";
+  put_number(p.state, out);
+  out += ",\"target\":";
+  common::append_json_string(p.target_name, out);
+  out += ",\"task_counter\":";
+  put_hex(p.task_counter, out);
+  out += ",\"total_retries\":";
+  put_number(p.total_retries, out);
+  out += '}';
+}
+
+void put_coordinator(const CoordinatorCheckpoint& c, std::string& out) {
+  out += "{\"failed_tasks\":";
+  put_hex(c.failed_tasks, out);
+  out += ",\"fold_retries\":";
+  put_hex(c.fold_retries, out);
+  out += ",\"fold_tasks\":";
+  put_hex(c.fold_tasks, out);
+  out += ",\"generator_tasks\":";
+  put_hex(c.generator_tasks, out);
+  out += ",\"parked\":";
+  put_array(c.parked, out,
+            [&](const CoordinatorCheckpoint::ParkedAction& pa) {
+              out += '{';
+              if (pa.fold_input) {
+                out += "\"fold_input\":";
+                put_structure(pa.fold_input->structure, out);
+                out += ',';
+              }
+              out += "\"kind\":";
+              put_number(pa.kind, out);
+              out += ",\"pipeline\":";
+              common::append_json_string(pa.pipeline_id, out);
+              out += ",\"refined\":";
+              put_bool(pa.refined, out);
+              out += ",\"reuse_features\":";
+              put_bool(pa.reuse_features, out);
+              out += '}';
+            });
+  out += ",\"pipeline_spans\":";
+  put_map(c.pipeline_spans, out,
+          [&](obs::SpanId span) { put_hex(span, out); });
+  out += ",\"pipelines\":";
+  put_array(c.pipelines, out,
+            [&](const Pipeline::Snapshot& p) { put_pipeline(p, out); });
+  out += ",\"refine_tasks\":";
+  put_hex(c.refine_tasks, out);
+  out += ",\"root_pipelines\":";
+  put_hex(c.root_pipelines, out);
+  out += ",\"subpipeline_count\":";
+  put_map(c.subpipeline_count, out, [&](int n) { put_number(n, out); });
+  out += ",\"subpipelines\":";
+  put_hex(c.subpipelines, out);
+  out += '}';
+}
+
+void put_pilot(const rp::PilotRestore& p, std::string& out) {
+  out += "{\"executor_rng\":";
+  put_rng(p.executor_rng, out);
+  out += ",\"failed\":";
+  put_bool(p.failed, out);
+  out += ",\"intervals\":";
+  put_array(p.intervals, out, [&](const hpc::UsageInterval& iv) {
+    out += "{\"cores\":";
+    put_number(iv.cores, out);
+    out += ",\"cpu_intensity\":";
+    put_number(iv.cpu_intensity, out);
+    out += ",\"end\":";
+    put_number(iv.end, out);
+    out += ",\"gpu_intensity\":";
+    put_number(iv.gpu_intensity, out);
+    out += ",\"gpus\":";
+    put_number(iv.gpus, out);
+    out += ",\"start\":";
+    put_number(iv.start, out);
+    out += ",\"task_uid\":";
+    common::append_json_string(iv.task_uid, out);
+    out += '}';
+  });
+  out += ",\"uid\":";
+  common::append_json_string(p.uid, out);
+  out += '}';
+}
+
+// --- read side ---
 
 std::uint64_t parse_hex_u64(const common::Json& j) {
   const std::string& s = j.as_string();
@@ -35,17 +276,6 @@ std::uint64_t parse_hex_u64(const common::Json& j) {
   return v;
 }
 
-// --- leaf types ---
-
-common::Json rng_to_json(const common::Rng::State& s) {
-  common::Json::Object o;
-  o["state"] = hex_u64(s.state);
-  o["inc"] = hex_u64(s.inc);
-  o["cached_normal"] = s.cached_normal;
-  o["has_cached_normal"] = s.has_cached_normal;
-  return common::Json(std::move(o));
-}
-
 common::Rng::State rng_from_json(const common::Json& j) {
   common::Rng::State s;
   s.state = parse_hex_u64(j.at("state"));
@@ -53,30 +283,6 @@ common::Rng::State rng_from_json(const common::Json& j) {
   s.cached_normal = j.at("cached_normal").as_number();
   s.has_cached_normal = j.at("has_cached_normal").as_bool();
   return s;
-}
-
-common::Json structure_to_json(const protein::Structure& s) {
-  common::Json::Object o;
-  o["name"] = s.name();
-  common::Json::Array chains;
-  chains.reserve(s.chains().size());
-  for (const auto& chain : s.chains()) {
-    common::Json::Object c;
-    c["id"] = std::string(1, chain.id);
-    c["sequence"] = chain.sequence.to_string();
-    common::Json::Array ca;
-    ca.reserve(chain.ca.size());
-    for (const auto& v : chain.ca)
-      ca.emplace_back(common::Json::Array{v.x, v.y, v.z});
-    c["ca"] = common::Json(std::move(ca));
-    chains.emplace_back(std::move(c));
-  }
-  o["chains"] = common::Json(std::move(chains));
-  common::Json::Array plddt;
-  plddt.reserve(s.plddt().size());
-  for (double p : s.plddt()) plddt.emplace_back(p);
-  o["plddt"] = common::Json(std::move(plddt));
-  return common::Json(std::move(o));
 }
 
 protein::Structure structure_from_json(const common::Json& j) {
@@ -103,41 +309,14 @@ protein::Structure structure_from_json(const common::Json& j) {
   return s;
 }
 
-common::Json complex_to_json(const protein::Complex& c) {
-  return structure_to_json(c.structure);
-}
-
 protein::Complex complex_from_json(const common::Json& j) {
   return protein::Complex{structure_from_json(j)};
-}
-
-common::Json fold_metrics_to_json(const fold::FoldMetrics& m) {
-  common::Json::Object o;
-  o["plddt"] = m.plddt;
-  o["ptm"] = m.ptm;
-  o["ipae"] = m.ipae;
-  return common::Json(std::move(o));
 }
 
 fold::FoldMetrics fold_metrics_from_json(const common::Json& j) {
   return fold::FoldMetrics{.plddt = j.at("plddt").as_number(),
                            .ptm = j.at("ptm").as_number(),
                            .ipae = j.at("ipae").as_number()};
-}
-
-common::Json prediction_to_json(const fold::Prediction& p) {
-  common::Json::Object o;
-  common::Json::Array models;
-  models.reserve(p.models.size());
-  for (const auto& m : p.models) {
-    common::Json::Object model;
-    model["metrics"] = fold_metrics_to_json(m.metrics);
-    model["structure"] = structure_to_json(m.structure);
-    models.emplace_back(std::move(model));
-  }
-  o["models"] = common::Json(std::move(models));
-  o["best_index"] = p.best_index;
-  return common::Json(std::move(o));
 }
 
 fold::Prediction prediction_from_json(const common::Json& j) {
@@ -150,17 +329,6 @@ fold::Prediction prediction_from_json(const common::Json& j) {
   return p;
 }
 
-common::Json iteration_to_json(const IterationRecord& rec) {
-  common::Json::Object r;
-  r["cycle"] = rec.cycle;
-  r["metrics"] = fold_metrics_to_json(rec.metrics);
-  r["true_fitness"] = rec.true_fitness;
-  r["accepted"] = rec.accepted;
-  r["retries"] = rec.retries;
-  r["sequence"] = rec.sequence;
-  return common::Json(std::move(r));
-}
-
 IterationRecord iteration_from_json(const common::Json& j) {
   IterationRecord rec;
   rec.cycle = static_cast<int>(j.at("cycle").as_number());
@@ -170,39 +338,6 @@ IterationRecord iteration_from_json(const common::Json& j) {
   rec.retries = static_cast<int>(j.at("retries").as_number());
   rec.sequence = j.at("sequence").as_string();
   return rec;
-}
-
-common::Json pipeline_to_json(const Pipeline::Snapshot& p) {
-  common::Json::Object o;
-  o["id"] = p.id;
-  o["target"] = p.target_name;
-  o["current"] = complex_to_json(p.current);
-  o["rng"] = rng_to_json(p.rng);
-  o["task_counter"] = hex_u64(p.task_counter);
-  o["state"] = p.state;
-  o["cycle"] = p.cycle;
-  o["is_sub"] = p.is_sub;
-  common::Json::Array candidates;
-  candidates.reserve(p.candidates.size());
-  for (const auto& c : p.candidates) {
-    common::Json::Object cand;
-    cand["sequence"] = c.sequence.to_string();
-    cand["log_likelihood"] = c.log_likelihood;
-    candidates.emplace_back(std::move(cand));
-  }
-  o["candidates"] = common::Json(std::move(candidates));
-  o["next_candidate"] = p.next_candidate;
-  o["pending_candidate"] = p.pending_candidate;
-  o["pending_reuse_features"] = p.pending_reuse_features;
-  o["retries_this_cycle"] = p.retries_this_cycle;
-  o["total_retries"] = p.total_retries;
-  if (p.last_metrics) o["last_metrics"] = fold_metrics_to_json(*p.last_metrics);
-  common::Json::Array history;
-  history.reserve(p.history.size());
-  for (const auto& rec : p.history)
-    history.emplace_back(iteration_to_json(rec));
-  o["history"] = common::Json(std::move(history));
-  return common::Json(std::move(o));
 }
 
 Pipeline::Snapshot pipeline_from_json(const common::Json& j) {
@@ -234,40 +369,6 @@ Pipeline::Snapshot pipeline_from_json(const common::Json& j) {
   return p;
 }
 
-common::Json coordinator_to_json(const CoordinatorCheckpoint& c) {
-  common::Json::Object o;
-  common::Json::Array pipelines;
-  pipelines.reserve(c.pipelines.size());
-  for (const auto& p : c.pipelines) pipelines.emplace_back(pipeline_to_json(p));
-  o["pipelines"] = common::Json(std::move(pipelines));
-  common::Json::Array parked;
-  parked.reserve(c.parked.size());
-  for (const auto& pa : c.parked) {
-    common::Json::Object a;
-    a["pipeline"] = pa.pipeline_id;
-    a["kind"] = pa.kind;
-    if (pa.fold_input) a["fold_input"] = complex_to_json(*pa.fold_input);
-    a["reuse_features"] = pa.reuse_features;
-    a["refined"] = pa.refined;
-    parked.emplace_back(std::move(a));
-  }
-  o["parked"] = common::Json(std::move(parked));
-  common::Json::Object subs;
-  for (const auto& [name, count] : c.subpipeline_count) subs[name] = count;
-  o["subpipeline_count"] = common::Json(std::move(subs));
-  common::Json::Object spans;
-  for (const auto& [id, span] : c.pipeline_spans) spans[id] = hex_u64(span);
-  o["pipeline_spans"] = common::Json(std::move(spans));
-  o["root_pipelines"] = hex_u64(c.root_pipelines);
-  o["subpipelines"] = hex_u64(c.subpipelines);
-  o["generator_tasks"] = hex_u64(c.generator_tasks);
-  o["refine_tasks"] = hex_u64(c.refine_tasks);
-  o["fold_tasks"] = hex_u64(c.fold_tasks);
-  o["fold_retries"] = hex_u64(c.fold_retries);
-  o["failed_tasks"] = hex_u64(c.failed_tasks);
-  return common::Json(std::move(o));
-}
-
 CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
   CoordinatorCheckpoint c;
   for (const auto& p : j.at("pipelines").as_array())
@@ -296,29 +397,6 @@ CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
   return c;
 }
 
-common::Json cache_to_json(const fold::FoldCache::Snapshot& s) {
-  common::Json::Object o;
-  common::Json::Array shards;
-  shards.reserve(s.shards.size());
-  for (const auto& shard : s.shards) {
-    common::Json::Array entries;
-    entries.reserve(shard.size());
-    for (const auto& e : shard) {
-      common::Json::Object entry;
-      entry["key"] = hex_u64(e.key);
-      entry["prediction"] = prediction_to_json(e.prediction);
-      entries.emplace_back(std::move(entry));
-    }
-    shards.emplace_back(std::move(entries));
-  }
-  o["shards"] = common::Json(std::move(shards));
-  o["hits"] = hex_u64(s.hits);
-  o["misses"] = hex_u64(s.misses);
-  o["evictions"] = hex_u64(s.evictions);
-  o["duplicate_discards"] = hex_u64(s.duplicate_discards);
-  return common::Json(std::move(o));
-}
-
 fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
   fold::FoldCache::Snapshot s;
   for (const auto& shard : j.at("shards").as_array()) {
@@ -336,28 +414,6 @@ fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
   if (j.contains("duplicate_discards"))
     s.duplicate_discards = parse_hex_u64(j.at("duplicate_discards"));
   return s;
-}
-
-common::Json pilot_to_json(const rp::PilotRestore& p) {
-  common::Json::Object o;
-  o["uid"] = p.uid;
-  o["failed"] = p.failed;
-  o["executor_rng"] = rng_to_json(p.executor_rng);
-  common::Json::Array intervals;
-  intervals.reserve(p.intervals.size());
-  for (const auto& iv : p.intervals) {
-    common::Json::Object i;
-    i["start"] = iv.start;
-    i["end"] = iv.end;
-    i["cores"] = static_cast<double>(iv.cores);
-    i["gpus"] = static_cast<double>(iv.gpus);
-    i["cpu_intensity"] = iv.cpu_intensity;
-    i["gpu_intensity"] = iv.gpu_intensity;
-    i["task_uid"] = iv.task_uid;
-    intervals.emplace_back(std::move(i));
-  }
-  o["intervals"] = common::Json(std::move(intervals));
-  return common::Json(std::move(o));
 }
 
 rp::PilotRestore pilot_from_json(const common::Json& j) {
@@ -379,57 +435,124 @@ rp::PilotRestore pilot_from_json(const common::Json& j) {
 
 }  // namespace
 
-common::Json to_json(const CampaignCheckpoint& checkpoint) {
-  common::Json::Object doc;
-  doc["schema_version"] = kSchemaVersion;
-  doc["kind"] = std::string(kKind);
-  doc["campaign"] = checkpoint.campaign_name;
-  doc["seed"] = hex_u64(checkpoint.seed);
-  doc["targets"] = checkpoint.targets;
-  doc["ordinal"] = hex_u64(checkpoint.ordinal);
-
-  doc["now"] = checkpoint.now;
-  common::Json::Array events;
-  events.reserve(checkpoint.profiler_events.size());
-  for (const auto& e : checkpoint.profiler_events) {
-    common::Json::Object ev;
-    ev["time"] = e.time;
-    ev["entity"] = e.entity;
-    ev["event"] = e.event;
-    ev["info"] = e.info;
-    events.emplace_back(std::move(ev));
+std::string CheckpointWriter::write(const CampaignCheckpoint& checkpoint) {
+  std::string out;
+  // Checkpoints of one campaign grow slowly; sizing for the last one plus
+  // some slack spares the repeated reallocation of a multi-MB string.
+  out.reserve(last_size_ + last_size_ / 8 + 4096);
+  out += "{\"campaign\":";
+  common::append_json_string(checkpoint.campaign_name, out);
+  out += ",\"campaign_span\":";
+  put_hex(checkpoint.campaign_span, out);
+  out += ",\"coordinator\":";
+  put_coordinator(checkpoint.coordinator, out);
+  if (checkpoint.fold_cache) {
+    out += ",\"fold_cache\":";
+    put_cache(*checkpoint.fold_cache, out);
   }
-  doc["profiler_events"] = common::Json(std::move(events));
-  if (!checkpoint.trace.empty())
-    doc["trace"] = obs::spans_to_json(checkpoint.trace);
-  doc["trace_next_seq"] = hex_u64(checkpoint.trace_next_seq);
-  doc["campaign_span"] = hex_u64(checkpoint.campaign_span);
-  if (!checkpoint.metrics.empty())
-    doc["metrics"] = obs::metrics_to_json(checkpoint.metrics);
-  common::Json::Object uids;
-  for (const auto& [name, count] : checkpoint.uid_counters)
-    uids[name] = hex_u64(count);
-  doc["uid_counters"] = common::Json(std::move(uids));
-  common::Json::Object tasks;
-  tasks["submitted"] = hex_u64(checkpoint.task_counters.submitted);
-  tasks["done"] = hex_u64(checkpoint.task_counters.done);
-  tasks["failed"] = hex_u64(checkpoint.task_counters.failed);
-  tasks["cancelled"] = hex_u64(checkpoint.task_counters.cancelled);
-  tasks["retried"] = hex_u64(checkpoint.task_counters.retried);
-  tasks["timed_out"] = hex_u64(checkpoint.task_counters.timed_out);
-  tasks["requeued"] = hex_u64(checkpoint.task_counters.requeued);
-  doc["task_counters"] = common::Json(std::move(tasks));
-  common::Json::Array pilots;
-  pilots.reserve(checkpoint.pilots.size());
-  for (const auto& p : checkpoint.pilots) pilots.emplace_back(pilot_to_json(p));
-  doc["pilots"] = common::Json(std::move(pilots));
+  if (!checkpoint.generator_state.is_null()) {
+    out += ",\"generator_state\":";
+    out += checkpoint.generator_state.dump();
+  }
+  out += ",\"kind\":";
+  common::append_json_string(kKind, out);
+  if (!checkpoint.metrics.empty()) {
+    out += ",\"metrics\":";
+    out += obs::metrics_to_json(checkpoint.metrics).dump();
+  }
+  out += ",\"now\":";
+  put_number(checkpoint.now, out);
+  out += ",\"ordinal\":";
+  put_hex(checkpoint.ordinal, out);
+  out += ",\"pilots\":";
+  put_array(checkpoint.pilots, out,
+            [&](const rp::PilotRestore& p) { put_pilot(p, out); });
+  out += ",\"profiler_events\":";
+  put_array(checkpoint.profiler_events, out, [&](const hpc::ProfileEvent& e) {
+    out += "{\"entity\":";
+    common::append_json_string(e.entity, out);
+    out += ",\"event\":";
+    common::append_json_string(e.event, out);
+    out += ",\"info\":";
+    common::append_json_string(e.info, out);
+    out += ",\"time\":";
+    put_number(e.time, out);
+    out += '}';
+  });
+  out += ",\"schema_version\":";
+  put_number(kSchemaVersion, out);
+  out += ",\"seed\":";
+  put_hex(checkpoint.seed, out);
+  out += ",\"targets\":";
+  put_number(static_cast<double>(checkpoint.targets), out);
+  const auto& tasks = checkpoint.task_counters;
+  out += ",\"task_counters\":{\"cancelled\":";
+  put_hex(tasks.cancelled, out);
+  out += ",\"done\":";
+  put_hex(tasks.done, out);
+  out += ",\"failed\":";
+  put_hex(tasks.failed, out);
+  out += ",\"requeued\":";
+  put_hex(tasks.requeued, out);
+  out += ",\"retried\":";
+  put_hex(tasks.retried, out);
+  out += ",\"submitted\":";
+  put_hex(tasks.submitted, out);
+  out += ",\"timed_out\":";
+  put_hex(tasks.timed_out, out);
+  out += '}';
+  if (!checkpoint.trace.empty()) {
+    out += ",\"trace\":";
+    out += obs::spans_to_json(checkpoint.trace).dump();
+  }
+  out += ",\"trace_next_seq\":";
+  put_hex(checkpoint.trace_next_seq, out);
+  out += ",\"uid_counters\":";
+  put_map(checkpoint.uid_counters, out,
+          [&](std::uint64_t n) { put_hex(n, out); });
+  out += '}';
+  last_size_ = out.size();
+  return out;
+}
 
-  doc["coordinator"] = coordinator_to_json(checkpoint.coordinator);
-  if (checkpoint.fold_cache)
-    doc["fold_cache"] = cache_to_json(*checkpoint.fold_cache);
-  if (!checkpoint.generator_state.is_null())
-    doc["generator_state"] = checkpoint.generator_state;
-  return common::Json(std::move(doc));
+void CheckpointWriter::put_cache(const fold::FoldCache::Snapshot& s,
+                                 std::string& out) {
+  out += "{\"duplicate_discards\":";
+  put_hex(s.duplicate_discards, out);
+  out += ",\"evictions\":";
+  put_hex(s.evictions, out);
+  out += ",\"hits\":";
+  put_hex(s.hits, out);
+  out += ",\"misses\":";
+  put_hex(s.misses, out);
+  out += ",\"shards\":";
+  // Entries still resident move from the old memo to the new one (node
+  // handles, no copy); new entries are formatted into `out` once and
+  // their text kept. Keys evicted since the last write are left behind
+  // in the old memo and freed with it.
+  std::size_t resident = 0;
+  for (const auto& shard : s.shards) resident += shard.size();
+  Memo kept;
+  kept.reserve(resident);
+  put_array(s.shards, out,
+            [&](const std::vector<fold::FoldCache::Snapshot::Entry>& shard) {
+              put_array(shard, out, [&](const auto& e) {
+                if (auto node = entries_.extract(e.key)) {
+                  out += node.mapped();
+                  kept.insert(std::move(node));
+                  return;
+                }
+                const std::size_t start = out.size();
+                put_cache_entry(e, out);
+                kept.emplace(e.key, out.substr(start));
+              });
+            });
+  out += '}';
+  entries_.swap(kept);
+}
+
+common::Json to_json(const CampaignCheckpoint& checkpoint) {
+  return common::Json::parse(CheckpointWriter{}.write(checkpoint));
 }
 
 CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
@@ -478,9 +601,16 @@ CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
   return c;
 }
 
+void CheckpointWriter::save(const CampaignCheckpoint& checkpoint,
+                            const std::string& path) {
+  std::string text = write(checkpoint);
+  text += '\n';
+  common::write_file_atomic(path, text);
+}
+
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path) {
-  common::write_file_atomic(path, to_json(checkpoint).dump() + "\n");
+  CheckpointWriter{}.save(checkpoint, path);
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path) {

@@ -15,7 +15,8 @@
 // cache keys, span ids, sequence numbers) is encoded as a hex string —
 // JSON numbers are doubles here and would silently round above 2^53.
 // Doubles rely on the parser/dumper bit-exact round-trip pinned by
-// tests/common/test_json.cpp.
+// tests/common/test_json.cpp. CheckpointWriter is the one serializer:
+// it streams the document text, and to_json() is that text parsed.
 
 #pragma once
 
@@ -23,6 +24,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.hpp"
@@ -60,8 +62,36 @@ struct CampaignCheckpoint {
   common::Json generator_state;
 };
 
-/// Serialize (schema kind "impress.checkpoint", version 2 — version 1 is
-/// the finished-campaign session dump).
+/// Streams a checkpoint (schema kind "impress.checkpoint", version 2 —
+/// version 1 is the finished-campaign session dump) into a string,
+/// byte-for-byte what Json::dump writes for the document: keys in sorted
+/// order, no whitespace, printf-exact numbers.
+///
+/// A writer serves one campaign's checkpoints. The fold memo cache is most
+/// of every document and only grows, so the writer keeps each cache
+/// entry's text under its key: an entry is formatted once and every later
+/// checkpoint copies the text. That is sound because FoldCache holds one
+/// Prediction per key (a hit returns exactly what the miss path computes;
+/// see fold/fold_cache.hpp). Each write prunes the memo to the keys of the
+/// document being written, so its memory stays bounded by the cache. Not
+/// thread-safe; use one writer per campaign.
+class CheckpointWriter {
+ public:
+  [[nodiscard]] std::string write(const CampaignCheckpoint& checkpoint);
+  /// write() plus a trailing newline, crash-consistently
+  /// (common::write_file_atomic: temp file + fsync + rename) so an
+  /// interrupted write leaves the previous checkpoint intact and loadable.
+  void save(const CampaignCheckpoint& checkpoint, const std::string& path);
+
+ private:
+  using Memo = std::unordered_map<std::uint64_t, std::string>;
+  void put_cache(const fold::FoldCache::Snapshot& cache, std::string& out);
+
+  Memo entries_;  ///< cache key -> {"key":...,"prediction":...} text
+  std::size_t last_size_ = 0;
+};
+
+/// The document as a tree: a fresh writer's text, parsed.
 [[nodiscard]] common::Json to_json(const CampaignCheckpoint& checkpoint);
 
 /// Rebuild from a document. Throws std::invalid_argument on kind/version
@@ -69,9 +99,7 @@ struct CampaignCheckpoint {
 [[nodiscard]] CampaignCheckpoint campaign_checkpoint_from_json(
     const common::Json& doc);
 
-/// Write the checkpoint crash-consistently (common::write_file_atomic:
-/// temp file + fsync + rename) so an interrupted write leaves the
-/// previous checkpoint intact and loadable.
+/// One-off save through a fresh writer: CheckpointWriter{}.save().
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path);
 [[nodiscard]] CampaignCheckpoint load_checkpoint(const std::string& path);

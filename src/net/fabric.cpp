@@ -169,12 +169,11 @@ void CoordinatorNode::drain(std::size_t w, std::uint64_t now) {
       return;
     }
     count_rx(*m);
-    handle(w, *m, now);
+    handle(w, std::move(*m), now);
   }
 }
 
-void CoordinatorNode::handle(std::size_t w, const Message& m,
-                             std::uint64_t now) {
+void CoordinatorNode::handle(std::size_t w, Message m, std::uint64_t now) {
   WorkerSlot& worker = workers_[w];
   if (const auto* hello = std::get_if<HelloMsg>(&m)) {
     if (hello->wire_version != kWireVersion) {
@@ -195,7 +194,7 @@ void CoordinatorNode::handle(std::size_t w, const Message& m,
     }
     return;
   }
-  if (const auto* result = std::get_if<TaskResultMsg>(&m)) {
+  if (auto* result = std::get_if<TaskResultMsg>(&m)) {
     if (result->shard_id >= shards_.size()) {
       return;
     }
@@ -207,10 +206,10 @@ void CoordinatorNode::handle(std::size_t w, const Message& m,
     }
     shard.state = ShardState::kDone;
     if (result->status == TaskResultMsg::Status::kOk) {
-      shard.result_json = result->payload;
+      shard.result_json = std::move(result->payload);
     } else {
       shard.result_json.clear();
-      shard.error = result->payload;
+      shard.error = std::move(result->payload);
     }
     ++stats_.submits_closed_result;
     if (shard.owner != SIZE_MAX) {
@@ -223,7 +222,7 @@ void CoordinatorNode::handle(std::size_t w, const Message& m,
     }
     return;
   }
-  if (const auto* ckpt = std::get_if<CheckpointShardMsg>(&m)) {
+  if (auto* ckpt = std::get_if<CheckpointShardMsg>(&m)) {
     if (ckpt->shard_id >= shards_.size()) {
       return;
     }
@@ -236,7 +235,7 @@ void CoordinatorNode::handle(std::size_t w, const Message& m,
     shard.last_progress = now;
     if (ckpt->ordinal > shard.checkpoint_ordinal) {
       shard.checkpoint_ordinal = ckpt->ordinal;
-      shard.checkpoint_json = ckpt->checkpoint_json;
+      shard.checkpoint_json = std::move(ckpt->checkpoint_json);
       ++stats_.checkpoints_stored;
       if (metrics_) metrics_->checkpoints_stored->add(1);
     }

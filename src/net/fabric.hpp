@@ -145,7 +145,8 @@ class CoordinatorNode {
   };
 
   void drain(std::size_t w, std::uint64_t now);
-  void handle(std::size_t w, const Message& m, std::uint64_t now);
+  /// Consumes `m`: result and checkpoint payloads move into the shard slot.
+  void handle(std::size_t w, Message m, std::uint64_t now);
   void declare_dead(std::size_t w, std::uint64_t now, const std::string& why);
   void assign(std::size_t shard, std::size_t w, std::uint64_t now,
               bool new_epoch);

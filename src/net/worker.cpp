@@ -96,8 +96,9 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
     shard_config.session.seed = assign.seed;
     checkpoints_this_run_ = 0;
     shard_config.checkpoint.halt_after = config_.kill.die_at_checkpoint;
+    core::CheckpointWriter writer;
     shard_config.checkpoint.sink =
-        [this, &assign](const core::CampaignCheckpoint& doc) {
+        [this, &assign, &writer](const core::CampaignCheckpoint& doc) {
           ++checkpoints_this_run_;
           const bool fatal =
               config_.kill.die_at_checkpoint > 0 &&
@@ -108,7 +109,7 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
           send(CheckpointShardMsg{.shard_id = assign.shard_id,
                                   .epoch = assign.epoch,
                                   .ordinal = doc.ordinal,
-                                  .checkpoint_json = to_json(doc).dump()});
+                                  .checkpoint_json = writer.write(doc)});
         };
     if (config_.kill.die_at_checkpoint > 0 &&
         shard_config.checkpoint.every_n_completions == 0) {

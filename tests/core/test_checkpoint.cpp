@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/dpo_generator.hpp"
 #include "core/shard.hpp"
 #include "protein/datasets.hpp"
 #include "support/temp_dir.hpp"
@@ -106,10 +107,10 @@ TEST_F(CheckpointDoc, LoaderRejectsWrongKindAndVersion) {
 }
 
 // Every byte a fabric worker ships: pdz_benchmark(9) in 3 shards with a
-// checkpoint every 5 completions, each sink document dumped as the wire
-// does. The digest and size were recorded from the snprintf-based writer;
-// any change to number or string text, key order or document content
-// moves them.
+// checkpoint every 5 completions, each sink document written as the wire
+// does. The digest and size were recorded from the snprintf-based tree
+// serializer; any change to number or string text, key order or document
+// content moves them.
 TEST_F(CheckpointDoc, BytesMatchParentDigest) {
   constexpr std::size_t kParentDocuments = 21;
   constexpr std::size_t kParentBytes = 15'453'184;
@@ -120,16 +121,130 @@ TEST_F(CheckpointDoc, BytesMatchParentDigest) {
   CampaignConfig config = shard_campaign_config(im_rp_campaign(42), 5);
   std::string shipped;
   std::size_t documents = 0;
-  config.checkpoint.sink = [&](const CampaignCheckpoint& doc) {
-    shipped += to_json(doc).dump();
-    ++documents;
-  };
-  for (std::size_t s = 0; s < plan.shards.size(); ++s)
+  for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+    // One writer per shard campaign, as a fabric worker uses it.
+    CheckpointWriter writer;
+    config.checkpoint.sink = [&](const CampaignCheckpoint& doc) {
+      shipped += writer.write(doc);
+      ++documents;
+    };
     (void)Campaign(config).run(plan.targets_for(s, targets));
+  }
 
   EXPECT_EQ(documents, kParentDocuments);
   EXPECT_EQ(shipped.size(), kParentBytes);
   EXPECT_EQ(common::stable_hash(shipped), kParentDigest);
+}
+
+// One writer serves every checkpoint of a campaign and memoizes each
+// fold-cache entry's text. Drive it through a small cache that sees
+// inserts, MRU-reordering lookups, evictions and a key re-inserted after
+// its eviction; every write must equal a fresh writer's, and the whole
+// sequence must hash to what the tree serializer wrote for it.
+TEST_F(CheckpointDoc, WriterMemoSurvivesCacheChurn) {
+  // Recorded from the tree serializer's to_json(doc).dump() before the
+  // streaming writer replaced it.
+  constexpr std::size_t kParentDocuments = 7;
+  constexpr std::size_t kParentBytes = 1'416'720;
+  constexpr std::uint64_t kParentDigest = 6307780130354609628ULL;
+
+  CampaignCheckpoint doc = real_checkpoint(dir_.string());
+  ASSERT_TRUE(doc.fold_cache.has_value());
+  std::vector<fold::FoldCache::Snapshot::Entry> pool;
+  for (const auto& shard : doc.fold_cache->shards)
+    for (const auto& e : shard) pool.push_back(e);
+  ASSERT_GE(pool.size(), 10u);
+
+  fold::FoldCache cache(fold::FoldCache::Config{.capacity = 4, .shards = 2});
+  auto insert = [&](std::size_t i) {
+    cache.insert(pool[i].key, pool[i].prediction);
+  };
+  auto resident = [&](std::uint64_t key) {
+    for (const auto& shard : cache.snapshot().shards)
+      for (const auto& e : shard)
+        if (e.key == key) return true;
+    return false;
+  };
+
+  CheckpointWriter writer;
+  std::string shipped;
+  std::size_t documents = 0;
+  auto write = [&] {
+    ++doc.ordinal;
+    doc.fold_cache = cache.snapshot();
+    const std::string text = writer.write(doc);
+    EXPECT_EQ(text, CheckpointWriter{}.write(doc)) << "ordinal " << doc.ordinal;
+    shipped += text;
+    ++documents;
+  };
+
+  for (std::size_t i = 0; i < 3; ++i) insert(i);
+  write();  // every entry new
+  (void)cache.lookup(pool[0].key);
+  (void)cache.lookup(pool[2].key);
+  write();  // same entries, MRU order changed
+  for (std::size_t i = 3; i < 7; ++i) insert(i);
+  ASSERT_GT(cache.stats().evictions, 0u);
+  write();  // evictions drop entries from the memo
+  std::size_t evicted = pool.size();
+  for (std::size_t i = 0; i < 7 && evicted == pool.size(); ++i)
+    if (!resident(pool[i].key)) evicted = i;
+  ASSERT_LT(evicted, pool.size());
+  insert(evicted);  // back after the write that pruned it
+  write();
+  // Evicted and re-inserted between two writes: the memo still holds it.
+  std::uint64_t mru = 0;
+  for (const auto& shard : cache.snapshot().shards)
+    if (!shard.empty() && mru == 0) mru = shard.front().key;
+  std::size_t again = pool.size();
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    if (pool[i].key == mru) again = i;
+  ASSERT_LT(again, pool.size());
+  for (std::size_t i = 7; i < pool.size() && resident(mru); ++i) insert(i);
+  ASSERT_FALSE(resident(mru));
+  insert(again);
+  write();
+  (void)cache.lookup(12345u);  // miss: counters move, entries do not
+  write();
+  write();  // unchanged cache: all text from the memo
+
+  EXPECT_EQ(documents, kParentDocuments);
+  EXPECT_EQ(shipped.size(), kParentBytes);
+  EXPECT_EQ(common::stable_hash(shipped), kParentDigest);
+}
+
+// The writer must put every object's keys in the order Json::dump does.
+// The digest tests may not reach every optional section, so take
+// checkpoints that have them all — trace and metrics, a stateful
+// generator, parked fold inputs, last_metrics — and require the text to
+// be its own parse-and-dump.
+TEST_F(CheckpointDoc, WriterMatchesDumpInEveryOptionalSection) {
+  auto cfg = im_rp_campaign(42);
+  cfg.generator = std::make_shared<DpoGenerator>();
+  cfg.checkpoint.every_n_completions = 2;
+  cfg.session.enable_tracing = true;
+  cfg.session.enable_metrics = true;
+  bool parked_input = false;
+  bool last_metrics = false;
+  std::size_t documents = 0;
+  CheckpointWriter writer;
+  cfg.checkpoint.sink = [&](const CampaignCheckpoint& c) {
+    ++documents;
+    EXPECT_FALSE(c.trace.empty());
+    EXPECT_FALSE(c.metrics.empty());
+    EXPECT_FALSE(c.generator_state.is_null());
+    for (const auto& pa : c.coordinator.parked)
+      parked_input = parked_input || pa.fold_input.has_value();
+    for (const auto& p : c.coordinator.pipelines)
+      last_metrics = last_metrics || p.last_metrics.has_value();
+    const std::string text = writer.write(c);
+    EXPECT_EQ(text, common::Json::parse(text).dump())
+        << "ordinal " << c.ordinal;
+  };
+  (void)Campaign(cfg).run(targets2());
+  EXPECT_GT(documents, 1u);
+  EXPECT_TRUE(parked_input);
+  EXPECT_TRUE(last_metrics);
 }
 
 TEST(FoldCacheSnapshot, RoundTripPreservesContentsAndRecency) {
