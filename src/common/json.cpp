@@ -1,9 +1,13 @@
 #include "common/json.hpp"
 
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <stdexcept>
 
@@ -314,17 +318,144 @@ void append_json_string(std::string_view s, std::string& out) {
   out += '"';
 }
 
+namespace {
+
+// "%.17g" by exact integer arithmetic. A normal double is x = m·2^e with
+// a 53-bit m. If its decimal exponent k = floor(log10 x) lies in
+// [-16, 16], the 17 significant digits are D = round(x·10^p) with
+// p = 16 - k in [0, 32], and x·10^p = m·5^p·2^(e+p) with m·5^p below
+// 2^53·5^32 < 2^128. So one 128-bit product and one shift give D, and
+// the shifted-out bits decide the rounding exactly, as printf does.
+
+__extension__ typedef unsigned __int128 Uint128;
+
+constexpr std::uint64_t kTen17 = 100'000'000'000'000'000ULL;
+
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+constexpr std::array<Uint128, 33> kPow5 = [] {
+  std::array<Uint128, 33> pow5{};
+  Uint128 v = 1;
+  for (Uint128& p : pow5) {
+    p = v;
+    v *= 5;
+  }
+  return pow5;
+}();
+
+/// round-half-to-even(m·2^e·10^p) for p in [0, 32] into `q`; false if a
+/// shift would drop set bits or leave the 128-bit range.
+inline bool scaled_round(std::uint64_t m, int e, int p, Uint128& q) {
+  const Uint128 n = m * kPow5[static_cast<std::size_t>(p)];
+  const int s = -(e + p);  // x·10^p = n·2^-s
+  if (s == 0) {
+    q = n;
+    return true;
+  }
+  if (s < 0) {
+    if (s <= -64 || (n >> (128 + s)) != 0) return false;
+    q = n << -s;
+    return true;
+  }
+  if (s >= 128) return false;
+  q = n >> s;
+  // The shifted-out bits, moved to the top: the half is the top bit alone.
+  const Uint128 rest = n << (128 - s);
+  const Uint128 half = Uint128{1} << 127;
+  if (rest > half || (rest == half && (q & 1) != 0)) ++q;
+  return true;
+}
+
+/// Writes the 8 decimal digits of v < 10^8 at `out`, two at a time.
+void write8(std::uint32_t v, char* out) {
+  const std::uint32_t high = v / 10000;
+  const std::uint32_t low = v % 10000;
+  std::memcpy(out, kDigitPairs + 2 * (high / 100), 2);
+  std::memcpy(out + 2, kDigitPairs + 2 * (high % 100), 2);
+  std::memcpy(out + 4, kDigitPairs + 2 * (low / 100), 2);
+  std::memcpy(out + 6, kDigitPairs + 2 * (low % 100), 2);
+}
+
+/// Writes "%.17g" of a positive finite `x` at `out` and returns the end,
+/// or nullptr when x is outside the exact window. Needs 40 bytes at
+/// `out`: the digits are moved in fixed 16- and 17-byte blocks.
+char* write_g17(double x, char* out) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const int biased = static_cast<int>(bits >> 52);
+  if (biased == 0) return nullptr;  // subnormal
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int e = biased - 1075;
+  // 2^(biased-1023) <= x < 2^(biased-1022), so floor((biased-1023)·log10 2)
+  // is floor(log10 x) or one less, never more. 78913 / 2^18 is log10 2 to
+  // six digits, which gives that floor exactly over the window.
+  int k = ((biased - 1023) * 78913) >> 18;
+  Uint128 d = 0;
+  for (;;) {
+    if (k < -16 || k > 16 || !scaled_round(m, e, 16 - k, d)) return nullptr;
+    if (d < kTen17) break;
+    ++k;  // one more integer digit than guessed, or rounding carried
+  }
+
+  // The 17 digits of D: 1 + 8 + 8. The zeros after them are only read by
+  // the block moves below and land past the returned end.
+  char digits[40] = {};
+  const auto v = static_cast<std::uint64_t>(d);
+  const std::uint64_t top = v / 100'000'000;
+  digits[0] = static_cast<char>('0' + top / 100'000'000);
+  write8(static_cast<std::uint32_t>(top % 100'000'000), digits + 1);
+  write8(static_cast<std::uint32_t>(v % 100'000'000), digits + 9);
+  int n = 17;  // significant digits left once trailing zeros go
+  while (n > 1 && digits[n - 1] == '0') --n;
+
+  if (k < -4) {  // %e: d.ddde-XX
+    out[0] = digits[0];
+    out[1] = '.';
+    std::memcpy(out + 2, digits + 1, 16);
+    out += n > 1 ? n + 1 : 1;
+    out[0] = 'e';
+    out[1] = '-';
+    out[2] = static_cast<char>('0' + -k / 10);
+    out[3] = static_cast<char>('0' + -k % 10);
+    return out + 4;
+  }
+  if (k < 0) {  // %f below 1: 0.000ddd
+    std::memcpy(out, "0.000", 5);
+    std::memcpy(out + 1 - k, digits, 17);
+    return out + 1 - k + n;
+  }
+  // %f: ddd.ddd
+  std::memcpy(out, digits, 17);
+  if (n <= k + 1) return out + k + 1;
+  out[k + 1] = '.';
+  std::memcpy(out + k + 2, digits + k + 1, 16);
+  return out + n + 1;
+}
+
+}  // namespace
+
 void append_finite_number(double d, std::string& out) {
-  // to_chars with an explicit precision formats "as if by printf", so the
-  // text is byte-for-byte "%.0f" / "%.17g" at a fraction of snprintf's cost.
-  char buf[32];  // longest output is 24 bytes: "-2.2250738585072014e-308"
-  const bool integral = d == std::floor(d) && std::fabs(d) < 1e15;
-  const auto written =
-      integral ? std::to_chars(buf, std::end(buf), d,
-                               std::chars_format::fixed, 0)
-               : std::to_chars(buf, std::end(buf), d,
-                               std::chars_format::general, 17);
-  out.append(buf, written.ptr);
+  // The longest text is 24 bytes ("-2.2250738585072014e-308"); write_g17
+  // wants 40 bytes past the sign.
+  char buf[48];
+  char* end = buf;
+  if (std::signbit(d)) *end++ = '-';
+  const double a = std::fabs(d);
+  if (a == std::floor(a) && a < 1e15) {
+    // "%.0f": sign and integer digits, "-0" included.
+    end = std::to_chars(end, std::end(buf), static_cast<std::uint64_t>(a)).ptr;
+  } else if (char* g = write_g17(a, end)) {
+    end = g;
+  } else {
+    // Outside the window (tiny, huge, subnormal): to_chars with an
+    // explicit precision formats "as if by printf", so "%.17g".
+    end = std::to_chars(buf, std::end(buf), d, std::chars_format::general, 17)
+              .ptr;
+  }
+  out.append(buf, end);
 }
 
 std::string Json::dump(int indent) const {

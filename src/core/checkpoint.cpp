@@ -120,9 +120,9 @@ void put_cache_entry(const fold::FoldCache::Snapshot::Entry& e,
   out += "{\"key\":";
   put_hex(e.key, out);
   out += ",\"prediction\":{\"best_index\":";
-  put_number(static_cast<double>(e.prediction.best_index), out);
+  put_number(static_cast<double>(e.prediction->best_index), out);
   out += ",\"models\":";
-  put_array(e.prediction.models, out, [&](const fold::ModelPrediction& m) {
+  put_array(e.prediction->models, out, [&](const fold::ModelPrediction& m) {
     out += "{\"metrics\":";
     put_fold_metrics(m.metrics, out);
     out += ",\"structure\":";
@@ -404,7 +404,8 @@ fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
     for (const auto& e : shard.as_array())
       entries.push_back(fold::FoldCache::Snapshot::Entry{
           parse_hex_u64(e.at("key")),
-          prediction_from_json(e.at("prediction"))});
+          std::make_shared<const fold::Prediction>(
+              prediction_from_json(e.at("prediction")))});
     s.shards.push_back(std::move(entries));
   }
   s.hits = parse_hex_u64(j.at("hits"));

@@ -21,6 +21,11 @@
 // shard holds capacity/N entries rounded up, evicting its own
 // least-recently-used entry on overflow. Hit/miss/eviction counters are
 // lock-free atomics surfaced as hpc::CacheSummary.
+//
+// Entries are immutable and shared: the cache, its snapshots and caches
+// restored from them hold the same `shared_ptr<const Prediction>`, so a
+// checkpoint's snapshot copies pointers, not coordinates, and stays valid
+// after the cache evicts or clears.
 
 #pragma once
 
@@ -77,6 +82,7 @@ class FoldCache {
 
   [[nodiscard]] std::optional<Prediction> lookup(std::uint64_t key);
   void insert(std::uint64_t key, Prediction prediction);
+  void insert(std::uint64_t key, std::shared_ptr<const Prediction> prediction);
 
   [[nodiscard]] hpc::CacheSummary stats() const;
   void clear();
@@ -89,7 +95,7 @@ class FoldCache {
   struct Snapshot {
     struct Entry {
       std::uint64_t key = 0;
-      Prediction prediction;
+      std::shared_ptr<const Prediction> prediction;  ///< never null
     };
     std::vector<std::vector<Entry>> shards;  ///< MRU first within a shard
     std::uint64_t hits = 0;
@@ -114,13 +120,13 @@ class FoldCache {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
+  using Lru =
+      std::list<std::pair<std::uint64_t, std::shared_ptr<const Prediction>>>;
   struct Shard {
     std::mutex mutex;
     /// LRU order, most-recent first; the map points into the list.
-    std::list<std::pair<std::uint64_t, Prediction>> lru;
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, Prediction>>::iterator>
-        index;
+    Lru lru;
+    std::unordered_map<std::uint64_t, Lru::iterator> index;
   };
 
   [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept;

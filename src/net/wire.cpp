@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -69,7 +70,9 @@ void WireWriter::str(std::string_view v) {
   if (v.size() > kMaxPayload)
     throw WireError("string field exceeds the payload ceiling");
   u32(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
+  // Same element type on both sides, so the insert is one memmove.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+  buf_.insert(buf_.end(), bytes, bytes + v.size());
 }
 
 void WireWriter::str_list(const std::vector<std::string>& v) {
@@ -77,6 +80,13 @@ void WireWriter::str_list(const std::vector<std::string>& v) {
     throw WireError("string list exceeds the payload ceiling");
   u32(static_cast<std::uint32_t>(v.size()));
   for (const auto& s : v) str(s);
+}
+
+void WireWriter::patch_u32(std::size_t offset, std::uint32_t v) {
+  if (offset > buf_.size() || buf_.size() - offset < 4)
+    throw WireError("patch_u32 past the end of the buffer");
+  for (std::size_t i = 0; i < 4; ++i)
+    buf_[offset + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
 }
 
 // --- WireReader -------------------------------------------------------------
@@ -153,6 +163,17 @@ void WireReader::finish() const {
 
 namespace {
 
+/// Bytes the string fields of a payload take, length prefixes included.
+/// With kMaxFixedBytes for its integers this bounds the payload size, and
+/// encode_frame sizes its one buffer from it.
+std::size_t string_bytes(std::string_view s) { return 4 + s.size(); }
+
+constexpr std::size_t kMaxFixedBytes = 24;  // ASSIGN_SHARD: u32 u32 u64 u64
+
+std::size_t string_bytes(const HelloMsg& m) {
+  return string_bytes(m.build_tag);
+}
+
 void encode_payload(const HelloMsg& m, WireWriter& w) {
   w.u32(m.worker_id);
   w.u16(m.wire_version);
@@ -167,6 +188,13 @@ HelloMsg decode_hello(WireReader& r) {
   m.slots = r.u32();
   m.build_tag = r.str();
   return m;
+}
+
+std::size_t string_bytes(const AssignShardMsg& m) {
+  std::size_t n = string_bytes(m.campaign_name) + 4 +
+                  string_bytes(m.checkpoint_json);
+  for (const std::string& name : m.target_names) n += string_bytes(name);
+  return n;
 }
 
 void encode_payload(const AssignShardMsg& m, WireWriter& w) {
@@ -191,6 +219,10 @@ AssignShardMsg decode_assign(WireReader& r) {
   return m;
 }
 
+std::size_t string_bytes(const TaskSubmitMsg& m) {
+  return string_bytes(m.payload);
+}
+
 void encode_payload(const TaskSubmitMsg& m, WireWriter& w) {
   w.u32(m.shard_id);
   w.u32(m.epoch);
@@ -211,6 +243,10 @@ TaskSubmitMsg decode_submit(WireReader& r) {
   m.kind = static_cast<TaskSubmitMsg::Kind>(kind);
   m.payload = r.str();
   return m;
+}
+
+std::size_t string_bytes(const TaskResultMsg& m) {
+  return string_bytes(m.payload);
 }
 
 void encode_payload(const TaskResultMsg& m, WireWriter& w) {
@@ -235,6 +271,8 @@ TaskResultMsg decode_result(WireReader& r) {
   return m;
 }
 
+std::size_t string_bytes(const HeartbeatMsg&) { return 0; }
+
 void encode_payload(const HeartbeatMsg& m, WireWriter& w) {
   w.u32(m.worker_id);
   w.u64(m.tick);
@@ -252,6 +290,10 @@ HeartbeatMsg decode_heartbeat(WireReader& r) {
   return m;
 }
 
+std::size_t string_bytes(const CheckpointShardMsg& m) {
+  return string_bytes(m.checkpoint_json);
+}
+
 void encode_payload(const CheckpointShardMsg& m, WireWriter& w) {
   w.u32(m.shard_id);
   w.u32(m.epoch);
@@ -266,6 +308,10 @@ CheckpointShardMsg decode_checkpoint(WireReader& r) {
   m.ordinal = r.u64();
   m.checkpoint_json = r.str();
   return m;
+}
+
+std::size_t string_bytes(const WorkerDeadMsg& m) {
+  return string_bytes(m.reason);
 }
 
 void encode_payload(const WorkerDeadMsg& m, WireWriter& w) {
@@ -308,21 +354,26 @@ Message decode_payload(MsgType type, const std::uint8_t* data,
 // --- framing ----------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(const Message& m) {
-  WireWriter payload;
-  std::visit([&](const auto& msg) { encode_payload(msg, payload); }, m);
-  const std::vector<std::uint8_t>& body = payload.bytes();
-  if (body.size() > kMaxPayload)
-    throw WireError("encoded payload exceeds kMaxPayload");
-
-  WireWriter frame;
-  frame.u8(kMagic0);
-  frame.u8(kMagic1);
-  frame.u8(kWireVersion);
-  frame.u8(static_cast<std::uint8_t>(type_of(m)));
-  frame.u32(static_cast<std::uint32_t>(body.size()));
-  std::vector<std::uint8_t> out = frame.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return std::visit(
+      [&](const auto& msg) {
+        // Sized once from the string fields, and capped at the largest
+        // legal frame: a bigger message throws below.
+        WireWriter frame(kHeaderSize + std::min(kMaxFixedBytes +
+                                                    string_bytes(msg),
+                                                kMaxPayload));
+        frame.u8(kMagic0);
+        frame.u8(kMagic1);
+        frame.u8(kWireVersion);
+        frame.u8(static_cast<std::uint8_t>(type_of(m)));
+        frame.u32(0);  // payload length, patched below
+        encode_payload(msg, frame);
+        const std::size_t body = frame.size() - kHeaderSize;
+        if (body > kMaxPayload)
+          throw WireError("encoded payload exceeds kMaxPayload");
+        frame.patch_u32(4, static_cast<std::uint32_t>(body));
+        return frame.take();
+      },
+      m);
 }
 
 namespace {

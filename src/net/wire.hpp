@@ -71,10 +71,15 @@ inline constexpr std::size_t kMsgTypeCount = 7;
 
 // --- explicit little-endian encoding primitives -----------------------------
 
-/// Appends fields to a byte buffer, one byte at a time. The only way
-/// bytes enter a frame.
+/// Appends fields to a byte buffer: integers one byte at a time, string
+/// bytes in one copy. The only way bytes enter a frame.
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Starts with room for `capacity` bytes, so a writer sized from the
+  /// message never regrows.
+  explicit WireWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -84,7 +89,11 @@ class WireWriter {
   /// u32 length + raw bytes.
   void str(std::string_view v);
   void str_list(const std::vector<std::string>& v);
+  /// Overwrites the four bytes at `offset` with `v` (little-endian): a
+  /// length known only after the fields it counts are written.
+  void patch_u32(std::size_t offset, std::uint32_t v);
 
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return buf_;
   }
@@ -211,7 +220,8 @@ using Message = std::variant<HelloMsg, AssignShardMsg, TaskSubmitMsg,
 
 // --- framing ----------------------------------------------------------------
 
-/// Encode a complete frame (header + payload).
+/// Encode a complete frame (header + payload) into one buffer sized from
+/// the message's string fields: each string's bytes are copied once.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Message& m);
 
 /// Decode one complete frame. Throws WireError on any malformation;

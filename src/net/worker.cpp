@@ -32,14 +32,15 @@ void WorkerNode::pump() {
     if (!m) {
       break;
     }
-    handle(*m);
+    handle(std::move(*m));
   }
 }
 
-void WorkerNode::handle(const Message& m) {
-  if (const auto* assign = std::get_if<AssignShardMsg>(&m)) {
-    // Last assignment wins; a duplicate (resubmission) is harmless.
-    assignment_ = *assign;
+void WorkerNode::handle(Message m) {
+  if (auto* assign = std::get_if<AssignShardMsg>(&m)) {
+    // Last assignment wins; a duplicate (resubmission) is harmless. The
+    // resume document can be megabytes: move it, never copy it.
+    assignment_ = std::move(*assign);
     return;
   }
   if (const auto* hb = std::get_if<HeartbeatMsg>(&m)) {
@@ -79,7 +80,9 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
     // coordinator's resubmission timer will retry the pair.
     return;
   }
-  const AssignShardMsg assign = *assignment_;
+  // Read in place: nothing below touches assignment_ until the reset at
+  // the end.
+  const AssignShardMsg& assign = *assignment_;
 
   TaskResultMsg result;
   result.shard_id = submit.shard_id;

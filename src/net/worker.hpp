@@ -80,7 +80,7 @@ class WorkerNode {
   }
 
  private:
-  void handle(const Message& m);
+  void handle(Message m);
   void run_shard(const TaskSubmitMsg& submit);
   void run_remote(const TaskSubmitMsg& submit);
   void send(const Message& m);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -293,6 +295,96 @@ TEST(Json, NumberTextMatchesPrintf) {
   Rng rng(7);
   for (int i = 0; i < 200'000; ++i) check(rng.uniform(-200.0, 200.0));
 
+  EXPECT_EQ(mismatches, 0);
+}
+
+// append_finite_number writes "%.17g" with its own integer kernel when
+// the decimal exponent k of x lies in [-16, 16] (x normal), and with the
+// C++ library elsewhere. Few of NumberTextMatchesPrintf's raw bit
+// patterns land in that window, so these cases aim at it and at its
+// edges. Each value is checked with both signs.
+TEST(Json, NumberKernelWindowMatchesPrintf) {
+  int mismatches = 0;
+  const auto check = [&](double x) {
+    for (const double v : {x, -x}) {
+      const std::string text = Json(v).dump();
+      if (text == printf_number_text(v)) continue;
+      if (++mismatches <= 10)
+        ADD_FAILURE() << "bits 0x" << std::hex
+                      << std::bit_cast<std::uint64_t>(v) << " dumped as "
+                      << text << ", printf gives " << printf_number_text(v);
+    }
+  };
+  std::uint64_t state = 0x243f6a8885a308d3ULL;
+  const auto next = [&] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+
+  // Random mantissas at every binary exponent of the window, and a few
+  // exponents past each end where the library takes over.
+  for (std::uint64_t biased = 1023 - 62; biased <= 1023 + 62; ++biased)
+    for (int i = 0; i < 2000; ++i)
+      check(std::bit_cast<double>((biased << 52) |
+                                  (next() & ((std::uint64_t{1} << 52) - 1))));
+
+  // Three ulps either side of each power of ten. These hold the switch
+  // points of %g (1e-5 and 1e-4 between exponent and fixed form, 1e16
+  // and 1e17 at the kernel's upper edge) and the one double in the
+  // window whose 17 digits carry into a new decade: 1e-14 lies below
+  // 10^-14 and rounds up to it.
+  for (int k = -17; k <= 18; ++k) {
+    const double p = std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+    check(p);
+    double below = p;
+    double above = p;
+    for (int i = 0; i < 3; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 2.0 * p);
+      check(below);
+      check(above);
+    }
+  }
+  EXPECT_EQ(Json(1e-14).dump(), "1e-14");
+
+  // Exact half-way ties, which printf rounds to even: with odd m and
+  // m·5^(16-k) in [2e16, 2e17), x = m·2^(k-17) is (2D+1)/2·10^(k-16) with
+  // a 17-digit D, i.e. exactly 18 significant digits ending in 5. Below
+  // k = -8 no integer m fits, so no double is such a tie.
+  int ties = 0;
+  int candidates = 0;
+  for (int k = -8; k <= 15; ++k) {
+    const double pow5 = std::pow(5.0, 16 - k);
+    const double lo = std::ceil(2e16 / pow5);
+    const double hi = std::min(std::ceil(2e17 / pow5), std::ldexp(1.0, 53));
+    for (int i = 0; i < 200; ++i) {
+      const auto span = static_cast<std::uint64_t>(hi - lo);
+      const std::uint64_t m =
+          (static_cast<std::uint64_t>(lo) + next() % span) | 1;
+      const double x = std::ldexp(static_cast<double>(m), k - 17);
+      check(x);
+      // Exact decimal expansion: 18th significant digit 5, then zeros.
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.40e", x);
+      const std::string digits = std::string(1, buf[0]) + (buf + 2);
+      ++candidates;
+      if (digits[17] == '5' &&
+          digits.find_first_not_of('0', 18) == digits.find('e'))
+        ++ties;
+    }
+  }
+  EXPECT_GE(ties, candidates * 9 / 10);
+
+  // Trailing zeros stripped, and the point dropped when nothing follows.
+  for (const double x : {0.5, 1.5, 0.125, 123.25, 3e-5, 2.5e-4, 1e15 + 0.5,
+                         1e16, 2e16, 1e-16, 1.25e-16})
+    check(x);
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(1e15 + 0.25).dump(), "1000000000000000.2");   // tie, even
+  EXPECT_EQ(Json(1e15 + 0.75).dump(), "1000000000000000.8");   // tie, even
+  EXPECT_EQ(Json(3e-5).dump(), "3.0000000000000001e-05");
   EXPECT_EQ(mismatches, 0);
 }
 

@@ -290,6 +290,50 @@ TEST(FoldCacheSnapshot, RoundTripPreservesContentsAndRecency) {
   EXPECT_EQ(layout(untouched.snapshot()), layout(snap));
 }
 
+// A snapshot shares its predictions with the cache it was taken from.
+// Evicting those entries or clearing the cache must leave it as it was,
+// and a cache restored from it must snapshot back to the same document.
+TEST(FoldCacheSnapshot, SurvivesEvictionAndClear) {
+  const auto t = protein::pdz_benchmark(1).front();
+  const auto complex = t.start_complex();
+  const fold::AlphaFold folder;
+  const fold::FoldCache::Config config{.capacity = 4, .shards = 2};
+  fold::FoldCache cache(config);
+  auto fold_with = [&](std::uint64_t seed) {
+    common::Rng rng(seed);  // the rng is part of the key: one entry each
+    (void)cache.predict(folder, complex, t.landscape, rng);
+  };
+  // The snapshot as a checkpoint writes it: keys, order, every model's
+  // coordinates and the counters.
+  auto text = [](const fold::FoldCache::Snapshot& snap) {
+    CampaignCheckpoint c;
+    c.fold_cache = snap;
+    return CheckpointWriter{}.write(c);
+  };
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) fold_with(seed);
+  const fold::FoldCache::Snapshot snap = cache.snapshot();
+  std::size_t entries = 0;
+  for (const auto& shard : snap.shards) entries += shard.size();
+  ASSERT_GE(entries, 2u);
+  const std::string before = text(snap);
+
+  for (std::uint64_t seed = 100; seed <= 108; ++seed) fold_with(seed);
+  for (const auto& shard : cache.snapshot().shards)
+    for (const auto& e : shard)
+      for (const auto& old : snap.shards)
+        for (const auto& o : old) ASSERT_NE(e.key, o.key) << "not evicted";
+  EXPECT_EQ(text(snap), before);
+
+  cache.clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(text(snap), before);
+
+  fold::FoldCache restored(config);
+  restored.restore(snap);
+  EXPECT_EQ(text(restored.snapshot()), before);
+}
+
 TEST(FoldCacheSnapshot, RestoreRejectsShardMismatch) {
   fold::FoldCache a(fold::FoldCache::Config{.capacity = 8, .shards = 2});
   fold::FoldCache b(fold::FoldCache::Config{.capacity = 8, .shards = 4});

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/wire.hpp"
 
 namespace impress::net {
@@ -201,6 +202,96 @@ TEST(Wire, AssemblerPoisonsOnBadMagic) {
       },
       WireError);
   EXPECT_TRUE(assembler.poisoned());
+}
+
+// Every byte value, `n` bytes long: a stand-in for a multi-MB checkpoint.
+std::string patterned(std::size_t n, std::uint64_t seed) {
+  std::string s(n, '\0');
+  for (char& c : s) {
+    seed = common::splitmix64(seed);
+    c = static_cast<char>(seed & 0xFF);
+  }
+  return s;
+}
+
+// encode_frame's bytes are the wire format. Pin them over every message
+// type, empty strings and lists, both enum values of each enum field and
+// multi-MB string fields. The constants were recorded from the encoder
+// that wrote each field byte by byte into a payload buffer and then
+// copied that payload behind a separate header.
+TEST(Wire, FrameBytesMatchDigest) {
+  constexpr std::size_t kFrames = 16;
+  constexpr std::size_t kBytes = 9'438'818;
+  constexpr std::uint64_t kDigest = 1759535512097308742ULL;
+
+  AssignShardMsg resume = sample_assign();
+  resume.checkpoint_json = patterned(3 << 20, 1);
+  TaskSubmitMsg run_shard;
+  run_shard.shard_id = 4;
+  run_shard.epoch = 2;
+  run_shard.task_seq = 0x0102030405060708ULL;
+  TaskSubmitMsg remote = run_shard;
+  remote.kind = TaskSubmitMsg::Kind::kRemoteTask;
+  remote.payload = patterned(1000, 2);
+  TaskResultMsg ok;
+  ok.shard_id = 5;
+  ok.epoch = 7;
+  ok.task_seq = 99;
+  ok.payload = patterned(1 << 20, 3);
+  TaskResultMsg error = ok;
+  error.status = TaskResultMsg::Status::kError;
+  error.payload = "campaign mismatch";
+  AssignShardMsg empty_names;
+  empty_names.target_names = {"", "NHERF3", ""};
+  const std::vector<Message> messages = {
+      sample_hello(),
+      HelloMsg{},
+      sample_assign(),
+      AssignShardMsg{},
+      resume,
+      run_shard,
+      remote,
+      ok,
+      error,
+      HeartbeatMsg{.worker_id = 3, .tick = 1ULL << 40, .active_shard = 2,
+                   .busy = 1},
+      HeartbeatMsg{},
+      CheckpointShardMsg{.shard_id = 1,
+                         .epoch = 0xFFFFFFFFu,
+                         .ordinal = 12,
+                         .checkpoint_json = patterned(5 << 20, 4)},
+      CheckpointShardMsg{},
+      WorkerDeadMsg{.worker_id = 2, .shard_id = 1, .epoch = 3,
+                    .reason = "heartbeat timeout"},
+      WorkerDeadMsg{},
+      empty_names,
+  };
+
+  std::string wire;
+  for (const Message& m : messages) {
+    const std::vector<std::uint8_t> frame = encode_frame(m);
+    EXPECT_EQ(decode_frame(frame), m);
+    wire.append(frame.begin(), frame.end());
+  }
+  EXPECT_EQ(messages.size(), kFrames);
+  EXPECT_EQ(wire.size(), kBytes);
+  EXPECT_EQ(common::stable_hash(wire), kDigest);
+}
+
+// kMaxPayload is inclusive: a payload of exactly that many bytes encodes
+// and round-trips, one byte more is refused by the encoder.
+TEST(Wire, PayloadCeilingIsInclusive) {
+  constexpr std::size_t kFixed = 4 + 4 + 8 + 4;  // ids, ordinal, str length
+  CheckpointShardMsg m{.shard_id = 1,
+                       .epoch = 2,
+                       .ordinal = 3,
+                       .checkpoint_json = std::string(kMaxPayload - kFixed,
+                                                      'x')};
+  const std::vector<std::uint8_t> frame = encode_frame(m);
+  EXPECT_EQ(frame.size(), kHeaderSize + kMaxPayload);
+  EXPECT_EQ(std::get<CheckpointShardMsg>(decode_frame(frame)), m);
+  m.checkpoint_json.push_back('x');
+  EXPECT_THROW((void)encode_frame(m), WireError);
 }
 
 }  // namespace
