@@ -1,48 +1,30 @@
-// bench_infer: inference-server batching baseline.
+// bench_infer: inference-server batching baseline (BENCH_infer.json).
 //
-// Self-timed (same conventions as bench_sim): one JSON document —
-// BENCH_infer.json — holding the modeled batching study (GPU-seconds
-// speedup per batch size under the setup-dominated cost model), an
-// arrival-cadence sweep showing how the linger budget erodes batching
-// when requests are sparse, the dispatch hot-path wall throughput, the
-// adaptive tuner's converged sizes per completion cadence, and a full
-// campaign run with the server enabled (the EXPERIMENTS.md §gpu-batching
-// tables come from this binary).
-//
-// Modes:
-//   bench_infer [--out FILE]          full run
-//   bench_infer --smoke [--out FILE]  seconds-scale run for CI smoke jobs
-//   bench_infer --check BASELINE      compare against a checked-in
-//                                     baseline: fail (exit 1) if the
-//                                     batch-8 speedup drops under the 3x
-//                                     acceptance gate or 0.8x its
-//                                     baseline value, or the dispatch
-//                                     path falls under the absolute
-//                                     sanity floor.
+// Self-timed: the modeled batching study (GPU-seconds speedup per batch
+// size under the setup-dominated cost model), an arrival-cadence sweep
+// showing how the linger budget erodes batching when requests are sparse,
+// the dispatch hot-path wall throughput, the adaptive tuner's converged
+// sizes per completion cadence, and a full campaign run with the server
+// enabled (the EXPERIMENTS.md §gpu-batching tables come from this
+// binary). CLI, report layout and --check live in bench/harness.hpp.
+// Gates: batch-8 speedup >= 3x absolute and >= 0.8x baseline; dispatch
+// path >= 1e5 req/s absolute.
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
 #include "core/campaign.hpp"
+#include "harness.hpp"
 #include "infer/infer.hpp"
 #include "protein/datasets.hpp"
 
 using namespace impress;
 
 namespace {
-
-struct Options {
-  std::string out = "BENCH_infer.json";
-  std::string check;
-  bool smoke = false;
-};
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -90,27 +72,14 @@ common::Json::Object stream_json(const infer::StreamStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      opt.check = argv[++i];
-    } else {
-      std::cerr << "usage: bench_infer [--smoke] [--out FILE] "
-                   "[--check BASELINE]\n";
-      return 2;
-    }
-  }
+  const auto opt = bench::parse_args("infer", argc, argv);
+  if (!opt) return 2;
 
   // --- Modeled batching study: back-to-back arrivals (cadence well under
   // the linger budget) so every batch fills to the configured size. The
   // speedup is pure arithmetic — B(setup+per) / (setup+B*per) — so it is
   // identical across machines and smoke/full modes.
-  const std::size_t sweep_n = opt.smoke ? 4'096 : 65'536;
+  const std::size_t sweep_n = opt->smoke ? 4'096 : 65'536;
   common::Json::Object batching_sweep;
   double speedup_b8 = 0.0;
   for (const std::uint32_t b : {1u, 2u, 4u, 8u, 16u}) {
@@ -126,7 +95,7 @@ int main(int argc, char** argv) {
   // and the speedup decays toward 1x.
   common::Json::Object cadence_sweep;
   for (const double cadence : {0.0, 75.0, 150.0, 300.0, 700.0}) {
-    const auto s = run_stream(8, opt.smoke ? 1'024 : 8'192, cadence);
+    const auto s = run_stream(8, opt->smoke ? 1'024 : 8'192, cadence);
     cadence_sweep["gap" + std::to_string(static_cast<int>(cadence))] =
         stream_json(s);
     std::cout << "cadence gap=" << cadence << "s: speedup " << s.speedup()
@@ -136,7 +105,7 @@ int main(int argc, char** argv) {
   // --- Dispatch hot path: wall throughput of the accounting itself (the
   // science call is a no-op here). This is what executor threads pay per
   // request on top of the model call.
-  const std::size_t dispatch_n = opt.smoke ? 200'000 : 2'000'000;
+  const std::size_t dispatch_n = opt->smoke ? 200'000 : 2'000'000;
   infer::InferenceServer dispatch_server(bench_config(8));
   const auto dispatch_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < dispatch_n; ++i)
@@ -177,7 +146,7 @@ int main(int argc, char** argv) {
   std::vector<protein::DesignTarget> targets;
   targets.push_back(
       protein::make_target("BN-A", 84, protein::alpha_synuclein().tail(10)));
-  if (!opt.smoke)
+  if (!opt->smoke)
     targets.push_back(
         protein::make_target("BN-B", 90, protein::alpha_synuclein().tail(10)));
   const auto campaign_start = std::chrono::steady_clock::now();
@@ -196,79 +165,28 @@ int main(int argc, char** argv) {
             << "x over " << r.infer.fold.batches << " batches, design speedup "
             << r.infer.design.speedup() << "x\n";
 
-  // Only the modeled batch-8 speedup is gated: it is pure arithmetic,
-  // identical across machines and smoke/full modes. The campaign speedup
-  // depends on the target mix, which differs between modes.
-  const common::Json::Object ratios{
-      {"speedup_b8", speedup_b8},
-  };
-
-  const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_infer.v1"},
-      {"mode", opt.smoke ? "smoke" : "full"},
-      {"hardware_threads",
-       static_cast<std::size_t>(std::thread::hardware_concurrency())},
-      {"batching_sweep", batching_sweep},
-      {"cadence_sweep", cadence_sweep},
-      {"dispatch_path",
-       common::Json::Object{{"requests", dispatch_n},
-                            {"wall_s", dispatch_wall},
-                            {"req_per_s", dispatch_rps}}},
-      {"tuner", tuner_study},
-      {"campaign", campaign},
-      {"ratios", ratios},
-  }};
-  {
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::cerr << "bench_infer: cannot write " << opt.out << "\n";
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-  }
-  std::cout << "wrote " << opt.out << "\n";
-
-  if (opt.check.empty()) return 0;
-
-  // --- Regression gate against the checked-in baseline.
-  std::ifstream in(opt.check);
-  if (!in) {
-    std::cerr << "bench_infer: cannot read baseline " << opt.check << "\n";
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto baseline = common::Json::parse(buf.str());
-  int failures = 0;
-  // Acceptance gate: a full batch of 8 must model at least a 3x gain
-  // over one-request-per-dispatch.
-  constexpr double kSpeedupGate = 3.0;
-  if (speedup_b8 < kSpeedupGate) {
-    std::cerr << "FAIL: batch-8 speedup " << speedup_b8 << "x under the "
-              << kSpeedupGate << "x acceptance gate\n";
-    ++failures;
-  }
-  constexpr double kRegressionFloor = 0.8;  // keep >= 80% of baseline ratio
-  for (const auto& [name, value] : ratios) {
-    if (!baseline.at("ratios").contains(name)) continue;  // schema drift
-    const double base = baseline.at("ratios").at(name).as_number();
-    const double current = value.as_number();
-    if (current < kRegressionFloor * base) {
-      std::cerr << "FAIL: ratio '" << name << "' regressed: " << current
-                << "x < " << kRegressionFloor << " * baseline " << base
-                << "x\n";
-      ++failures;
-    }
-  }
-  // Absolute sanity floor: the accounting is a mutex + a dozen counter
-  // updates; any machine clears 1e5 req/s unless the hot path grew
-  // something pathological.
-  constexpr double kAbsoluteFloor = 1e5;
-  if (dispatch_rps < kAbsoluteFloor) {
-    std::cerr << "FAIL: dispatch path " << dispatch_rps << " req/s under the "
-              << kAbsoluteFloor << " sanity floor\n";
-    ++failures;
-  }
-  if (failures == 0) std::cout << "bench_infer check: OK\n";
-  return failures == 0 ? 0 : 1;
+  // Only the modeled batch-8 speedup is ratio-gated: it is pure
+  // arithmetic, identical across machines and smoke/full modes, and a
+  // full batch of 8 must model at least a 3x gain over one request per
+  // dispatch. The campaign speedup depends on the target mix, which
+  // differs between modes. The dispatch accounting is a mutex + a dozen
+  // counter updates; any machine clears 1e5 req/s unless the hot path
+  // grew something pathological.
+  return bench::finish(
+      *opt,
+      {{.name = "speedup_b8",
+        .value = speedup_b8,
+        .floor = 3.0,
+        .vs_baseline = true},
+       {.name = "dispatch_req_per_s",
+        .value = dispatch_rps,
+        .floor = 1e5}},
+      {{"batching_sweep", std::move(batching_sweep)},
+       {"cadence_sweep", std::move(cadence_sweep)},
+       {"dispatch_path",
+        common::Json::Object{{"requests", dispatch_n},
+                             {"wall_s", dispatch_wall},
+                             {"req_per_s", dispatch_rps}}},
+       {"tuner", std::move(tuner_study)},
+       {"campaign", campaign}});
 }

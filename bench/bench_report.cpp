@@ -1,35 +1,23 @@
-// bench_report: machine-readable hot-kernel baseline.
+// bench_report: machine-readable hot-kernel baseline (BENCH_kernels.json).
 //
-// Self-timed (no google-benchmark dependency) so the output is a single
-// JSON document — BENCH_kernels.json — that CI can archive and diff. For
-// each kernel it reports ns/op; for each optimized kernel it also reports
-// the speedup over the naive implementation it replaced, which is what
-// the regression check gates on (ratios are stable across machines in a
-// way raw nanoseconds are not).
-//
-// Modes:
-//   bench_report [--out FILE]          full run, writes FILE (default
-//                                      BENCH_kernels.json in the cwd)
-//   bench_report --smoke [--out FILE]  short run for CI smoke jobs
-//   bench_report --check BASELINE      after measuring, compare against a
-//                                      checked-in baseline: fail (exit 1)
-//                                      if any speedup drops below 0.8x its
-//                                      baseline value or the mutation-
-//                                      scoring speedup falls under the 5x
-//                                      acceptance floor.
+// Self-timed (no google-benchmark dependency). For each kernel it reports
+// ns/op; for each optimized kernel it also gates the speedup over the
+// naive implementation it replaced (ratios are stable across machines in
+// a way raw nanoseconds are not). CLI, report layout and --check live in
+// bench/harness.hpp. Gates: mutation_score and residue_similarity
+// speedups >= 0.8x baseline; mutation_score >= 5x absolute.
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "harness.hpp"
 #include "common/rng.hpp"
 #include "fold/fold.hpp"
 #include "fold/fold_cache.hpp"
@@ -97,34 +85,12 @@ class NaiveRecorder {
   std::vector<hpc::ProfileEvent> events_;
 };
 
-struct Options {
-  std::string out = "BENCH_kernels.json";
-  std::string check;  // baseline path; empty = no check
-  bool smoke = false;
-};
-
-int usage() {
-  std::cerr << "usage: bench_report [--smoke] [--out FILE] [--check BASELINE]\n";
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      opt.check = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  const double min_ms = opt.smoke ? 2.0 : 80.0;
+  const auto opt = bench::parse_args("kernels", argc, argv);
+  if (!opt) return 2;
+  const double min_ms = opt->smoke ? 2.0 : 80.0;
 
   const auto& target = protein::make_target(
       "BENCH", 96, protein::alpha_synuclein().tail(10));
@@ -230,7 +196,7 @@ int main(int argc, char** argv) {
   {
     fold::FoldCache cache;
     common::Rng root(7);
-    const std::size_t distinct = opt.smoke ? 8 : 32;
+    const std::size_t distinct = opt->smoke ? 8 : 32;
     const std::size_t repeats = 4;
     common::Rng seq_rng(17);
     std::vector<protein::Complex> complexes;
@@ -267,7 +233,7 @@ int main(int argc, char** argv) {
 
   // --- Profiler record: per-thread buffers vs the global-mutex recorder.
   const int threads = 4;
-  const std::size_t per_thread = opt.smoke ? 4096 : 65536;
+  const std::size_t per_thread = opt->smoke ? 4096 : 65536;
   double prof_naive_ns = 0.0;
   double prof_sharded_ns = 0.0;
   {
@@ -292,77 +258,27 @@ int main(int argc, char** argv) {
   add_kernel("profiler_record_naive", prof_naive_ns);
   add_kernel("profiler_record", prof_sharded_ns);
 
-  common::Json::Object speedups{
-      {"mutation_score", naive_ns / incr_ns},
-      {"residue_similarity", sim_direct_ns / sim_table_ns},
-  };
+  common::Json::Object results{{"kernels", std::move(kernels)},
+                               {"fold_cache", std::move(fold_cache_json)}};
   // The profiler ratio measures mutex-contention relief. A single-core
   // runner has no contention to relieve, so the sharded recorder's extra
-  // bookkeeping reads as a bogus sub-1x "slowdown" there — report the
-  // ratio only where it means something. (Both raw timings are always in
-  // `kernels` for cross-machine comparison.)
-  if (std::thread::hardware_concurrency() > 1)
-    speedups["profiler_record"] = prof_naive_ns / prof_sharded_ns;
-  for (const auto& [name, value] : speedups)
-    std::cout << "speedup " << name << ": " << value.as_number() << "x\n";
-
-  const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_kernels.v1"},
-      {"mode", opt.smoke ? "smoke" : "full"},
-      {"hardware_threads",
-       static_cast<std::size_t>(std::thread::hardware_concurrency())},
-      {"kernels", std::move(kernels)},
-      {"speedups", speedups},
-      {"fold_cache", std::move(fold_cache_json)},
-  }};
-  {
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::cerr << "bench_report: cannot write " << opt.out << "\n";
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-  }  // closed before --check may re-read the same path
-  std::cout << "wrote " << opt.out << "\n";
-
-  if (opt.check.empty()) return 0;
-
-  // --- Regression gate against the checked-in baseline.
-  std::ifstream in(opt.check);
-  if (!in) {
-    std::cerr << "bench_report: cannot read baseline " << opt.check << "\n";
-    return 1;
+  // bookkeeping reads as a bogus sub-1x "slowdown" there: report the ratio
+  // only where it means something, and never gate it. (Both raw timings
+  // are always in `kernels` for cross-machine comparison.)
+  if (std::thread::hardware_concurrency() > 1) {
+    results["speedups"] = common::Json::Object{
+        {"profiler_record", prof_naive_ns / prof_sharded_ns}};
+    std::cout << "speedup profiler_record: " << prof_naive_ns / prof_sharded_ns
+              << "x\n";
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto baseline = common::Json::parse(buf.str());
-  int failures = 0;
-  constexpr double kRegressionFloor = 0.8;  // keep >= 80% of baseline speedup
-  // Only the compute-bound ratios are gated: the profiler_record ratio
-  // measures lock contention, which single-core CI runners cannot
-  // reproduce (it is still reported for machines that can).
-  const std::vector<std::string> gated{"mutation_score", "residue_similarity"};
-  for (const auto& name : gated) {
-    if (!speedups.contains(name) ||
-        !baseline.at("speedups").contains(name))
-      continue;
-    const double base = baseline.at("speedups").at(name).as_number();
-    const double current = speedups.at(name).as_number();
-    if (current < kRegressionFloor * base) {
-      std::cerr << "FAIL: speedup '" << name << "' regressed: " << current
-                << "x < " << kRegressionFloor << " * baseline " << base
-                << "x\n";
-      ++failures;
-    }
-  }
-  constexpr double kMutationScoreFloor = 5.0;  // absolute acceptance criterion
-  if (speedups.at("mutation_score").as_number() < kMutationScoreFloor) {
-    std::cerr << "FAIL: mutation_score speedup "
-              << speedups.at("mutation_score").as_number() << "x < "
-              << kMutationScoreFloor << "x floor\n";
-    ++failures;
-  }
-  if (failures != 0) return 1;
-  std::cout << "check passed against " << opt.check << "\n";
-  return 0;
+  return bench::finish(
+      *opt,
+      {{.name = "mutation_score",
+        .value = naive_ns / incr_ns,
+        .floor = 5.0,
+        .vs_baseline = true},
+       {.name = "residue_similarity",
+        .value = sim_direct_ns / sim_table_ns,
+        .vs_baseline = true}},
+      std::move(results));
 }

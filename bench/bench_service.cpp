@@ -1,8 +1,5 @@
-// bench_service: multi-tenant campaign-service baseline.
-//
-// Self-timed (same conventions as bench_report/bench_sim): one JSON
-// document — BENCH_service.json, schema impress.bench_service.v1 —
-// holding
+// bench_service: multi-tenant campaign-service baseline
+// (BENCH_service.json). Self-timed, holding
 //   * a seeded closed-loop tenant-scaling study (1/10/100/1000 tenants)
 //     driven in virtual time against the SimulatedBackend: sustained
 //     campaigns/sec, p50/p99/p999 submit-to-first-result latency, Jain
@@ -10,50 +7,35 @@
 //     with PCC backpressure adapting per-tenant admission rates;
 //   * a wall-clock hot-path microbench: ns per admitted submission on
 //     the pooled allocation-free path vs a deliberately naive reference
-//     (string-keyed std::map tenants, one `new` per request, big lock) —
-//     the ratio is the perf claim this PR gates on.
+//     (string-keyed std::map tenants, one `new` per request, big lock).
 //
-// Modes:
-//   bench_service [--out FILE]          full run
-//   bench_service --smoke [--out FILE]  seconds-scale run for CI smoke
-//   bench_service --check BASELINE      compare against a checked-in
-//                                       baseline: fail (exit 1) if a
-//                                       gated ratio drops below 0.8x its
-//                                       baseline value or the pooled
-//                                       submit path falls under the
-//                                       absolute sanity floor. Ratios
-//                                       and the virtual-time study are
-//                                       what stay stable across machines,
-//                                       not raw ns.
+// CLI, report layout and --check live in bench/harness.hpp. Gates: the
+// naive/pooled ratios (1 and 4 threads), 10-tenant fairness and per-slot
+// goodput >= 0.8x baseline; pooled submit >= 0.5 Mops/s absolute. Ratios
+// and the virtual-time study are what stay stable across machines, not
+// raw ns.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "harness.hpp"
 #include "service/service.hpp"
 #include "service/sim_backend.hpp"
 
 using namespace impress;
 
 namespace {
-
-struct Options {
-  std::string out = "BENCH_service.json";
-  std::string check;
-  bool smoke = false;
-};
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -417,27 +399,14 @@ HotPathResult run_hot_path(std::size_t total_ops) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      opt.check = argv[++i];
-    } else {
-      std::cerr << "usage: bench_service [--smoke] [--out FILE] "
-                   "[--check BASELINE]\n";
-      return 2;
-    }
-  }
+  const auto opt = bench::parse_args("service", argc, argv);
+  if (!opt) return 2;
 
   // --- tenant-scaling study (virtual time; bit-deterministic).
   const std::vector<std::size_t> tenant_counts =
-      opt.smoke ? std::vector<std::size_t>{1, 10, 100}
+      opt->smoke ? std::vector<std::size_t>{1, 10, 100}
                 : std::vector<std::size_t>{1, 10, 100, 1000};
-  const double virtual_s = opt.smoke ? 120.0 : 600.0;
+  const double virtual_s = opt->smoke ? 120.0 : 600.0;
   common::Json::Object scaling;
   double fairness_t10 = 1.0;
   double goodput_per_slot_t10 = 0.0;
@@ -481,7 +450,7 @@ int main(int argc, char** argv) {
   }
 
   // --- hot-path microbench (wall clock).
-  const std::size_t hot_ops = opt.smoke ? 1u << 18 : 1u << 21;
+  const std::size_t hot_ops = opt->smoke ? 1u << 18 : 1u << 21;
   const auto hot = run_hot_path(hot_ops);
   std::cout << "hot path (1 thread): pooled " << hot.pooled_ns_per_op
             << " ns/op (" << hot.pooled_mops << " Mops/s, "
@@ -495,83 +464,41 @@ int main(int argc, char** argv) {
             << hot.naive_over_pooled_mt << "x\n";
 
   // --- cross-machine-stable gates. The virtual-time numbers are
-  // bit-deterministic; naive_over_pooled is a same-machine ratio.
-  common::Json::Object ratios{
-      {"naive_over_pooled", hot.naive_over_pooled},
-      {"naive_over_pooled_mt", hot.naive_over_pooled_mt},
-      {"fairness_tenants10", fairness_t10},
-      {"goodput_per_slot_tenants10", goodput_per_slot_t10},
-  };
-  for (const auto& [name, value] : ratios)
-    std::cout << "ratio " << name << ": " << value.as_number() << "\n";
-
-  const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_service.v1"},
-      {"mode", opt.smoke ? "smoke" : "full"},
-      {"hardware_threads",
-       static_cast<std::size_t>(std::thread::hardware_concurrency())},
-      {"tenant_scaling", std::move(scaling)},
-      {"hot_path",
-       common::Json::Object{
-           {"ops", hot_ops},
-           {"pooled_ns_per_op", hot.pooled_ns_per_op},
-           {"pooled_mops", hot.pooled_mops},
-           {"pooled_admitted", hot.pooled_admitted},
-           {"pool_high_water", hot.pool_high_water},
-           {"naive_ns_per_op", hot.naive_ns_per_op},
-           {"naive_mops", hot.naive_mops},
-           {"pooled_mt_ns_per_op", hot.pooled_mt_ns_per_op},
-           {"pooled_mt_mops", hot.pooled_mt_mops},
-           {"naive_mt_ns_per_op", hot.naive_mt_ns_per_op},
-           {"naive_mt_mops", hot.naive_mt_mops},
-       }},
-      {"ratios", ratios},
-  }};
-  {
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::cerr << "bench_service: cannot write " << opt.out << "\n";
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-  }
-  std::cout << "wrote " << opt.out << "\n";
-
-  if (opt.check.empty()) return 0;
-
-  // --- regression gate against the checked-in baseline.
-  std::ifstream in(opt.check);
-  if (!in) {
-    std::cerr << "bench_service: cannot read baseline " << opt.check << "\n";
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto baseline = common::Json::parse(buf.str());
-  int failures = 0;
-  constexpr double kRegressionFloor = 0.8;  // keep >= 80% of baseline
-  for (const auto& [name, value] : ratios) {
-    if (!baseline.at("ratios").contains(name)) continue;  // schema drift
-    const double base = baseline.at("ratios").at(name).as_number();
-    const double current = value.as_number();
-    if (current < kRegressionFloor * base) {
-      std::cerr << "FAIL: ratio '" << name << "' regressed: " << current
-                << " < " << kRegressionFloor << " * baseline " << base
-                << "\n";
-      ++failures;
-    }
-  }
-  // Absolute sanity floor: any machine that can run the suite at all
-  // clears half a million pooled submissions per second; below that the
+  // bit-deterministic; naive_over_pooled is a same-machine ratio. The
+  // absolute floor: any machine that can run the suite at all clears half
+  // a million pooled submissions per second; below that the
   // allocation-free path has rotted (e.g. a per-request allocation or a
   // string lookup crept back in).
-  constexpr double kAbsoluteFloorMops = 0.5;
-  if (hot.pooled_mops < kAbsoluteFloorMops) {
-    std::cerr << "FAIL: pooled submit " << hot.pooled_mops
-              << " Mops/s under the " << kAbsoluteFloorMops
-              << " Mops/s sanity floor\n";
-    ++failures;
-  }
-  if (failures == 0) std::cout << "bench_service check: OK\n";
-  return failures == 0 ? 0 : 1;
+  return bench::finish(
+      *opt,
+      {{.name = "naive_over_pooled",
+        .value = hot.naive_over_pooled,
+        .vs_baseline = true},
+       {.name = "naive_over_pooled_mt",
+        .value = hot.naive_over_pooled_mt,
+        .vs_baseline = true},
+       {.name = "fairness_tenants10",
+        .value = fairness_t10,
+        .vs_baseline = true},
+       {.name = "goodput_per_slot_tenants10",
+        .value = goodput_per_slot_t10,
+        .vs_baseline = true},
+       {.name = "pooled_mops",
+        .value = hot.pooled_mops,
+        .floor = 0.5}},
+      {{"tenant_scaling", std::move(scaling)},
+       {"hot_path",
+        common::Json::Object{
+            {"ops", hot_ops},
+            {"pooled_ns_per_op", hot.pooled_ns_per_op},
+            {"pooled_mops", hot.pooled_mops},
+            {"pooled_admitted", hot.pooled_admitted},
+            {"pool_high_water", hot.pool_high_water},
+            {"naive_ns_per_op", hot.naive_ns_per_op},
+            {"naive_mops", hot.naive_mops},
+            {"pooled_mt_ns_per_op", hot.pooled_mt_ns_per_op},
+            {"pooled_mt_mops", hot.pooled_mt_mops},
+            {"naive_mt_ns_per_op", hot.naive_mt_ns_per_op},
+            {"naive_mt_mops", hot.naive_mt_mops},
+        }}});
 }

@@ -1,34 +1,23 @@
-// bench_sim: simulation-core scaling baseline.
+// bench_sim: simulation-core scaling baseline (BENCH_sim.json).
 //
-// Self-timed (same conventions as bench_report): one JSON document —
-// BENCH_sim.json — holding the engine's events/sec across total-event
-// counts (1e6/1e7/1e8), pending-set sizes (1e2..1e6) and a cancel-heavy
-// mix, plus a utilization-vs-scale study driving a simulated cluster of
-// up to 10k heterogeneous nodes through the ResourcePool +
-// UtilizationRecorder stack (the EXPERIMENTS.md §sim-scale tables come
-// from this binary).
-//
-// Modes:
-//   bench_sim [--out FILE]          full run (1e8-event sweeps; minutes)
-//   bench_sim --smoke [--out FILE]  seconds-scale run for CI smoke jobs
-//   bench_sim --check BASELINE      fail (exit 1) if engine throughput at
-//                                   p=1e4 falls under the absolute 1e5
-//                                   ev/s sanity floor, or if BASELINE
-//                                   (the checked-in BENCH_sim.json) is
-//                                   not this binary's schema.
+// Self-timed: the engine's events/sec across total-event counts
+// (1e6/1e7/1e8), pending-set sizes (1e2..1e6) and a cancel-heavy mix,
+// plus a utilization-vs-scale study driving a simulated cluster of up to
+// 10k heterogeneous nodes through the ResourcePool + UtilizationRecorder
+// stack (the EXPERIMENTS.md §sim-scale tables come from this binary; the
+// full run takes minutes). CLI, report layout and --check live in
+// bench/harness.hpp. Gate: p10000 >= 1e5 ev/s absolute.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
+#include "harness.hpp"
 #include "hpc/node.hpp"
 #include "hpc/resource_pool.hpp"
 #include "hpc/utilization.hpp"
@@ -37,12 +26,6 @@
 using namespace impress;
 
 namespace {
-
-struct Options {
-  std::string out = "BENCH_sim.json";
-  std::string check;
-  bool smoke = false;
-};
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -195,25 +178,12 @@ ClusterStudy run_cluster_study(std::size_t nodes, std::size_t tasks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      opt.check = argv[++i];
-    } else {
-      std::cerr << "usage: bench_sim [--smoke] [--out FILE] "
-                   "[--check BASELINE]\n";
-      return 2;
-    }
-  }
+  const auto opt = bench::parse_args("sim", argc, argv);
+  if (!opt) return 2;
 
   // --- Throughput vs total events (pending set held at 1e4).
   const std::vector<std::size_t> totals =
-      opt.smoke ? std::vector<std::size_t>{100'000, 1'000'000}
+      opt->smoke ? std::vector<std::size_t>{100'000, 1'000'000}
                 : std::vector<std::size_t>{1'000'000, 10'000'000, 100'000'000};
   common::Json::Object throughput;
   for (const auto total : totals) {
@@ -225,10 +195,10 @@ int main(int argc, char** argv) {
 
   // --- Throughput vs pending-set size (fixed firing budget on top).
   const std::vector<std::size_t> pendings =
-      opt.smoke ? std::vector<std::size_t>{100, 10'000}
+      opt->smoke ? std::vector<std::size_t>{100, 10'000}
                 : std::vector<std::size_t>{100, 1'000, 10'000, 100'000,
                                            1'000'000};
-  const std::size_t sweep_budget = opt.smoke ? 100'000 : 1'000'000;
+  const std::size_t sweep_budget = opt->smoke ? 100'000 : 1'000'000;
   common::Json::Object pending_sweep;
   for (const auto pending : pendings) {
     const double evps = run_throughput(pending + sweep_budget, pending);
@@ -236,20 +206,20 @@ int main(int argc, char** argv) {
     std::cout << "pending p=" << pending << ": "
               << static_cast<std::uint64_t>(evps) << " ev/s\n";
   }
-  // p10000 exists in both smoke and full sweeps; --check gates it.
+  // p10000 exists in both smoke and full sweeps; it is the gate.
   const double p10000 = pending_sweep.at("p10000").as_number();
 
   // --- Cancel-heavy mix (half of all insertions cancelled).
-  const std::size_t cancel_total = opt.smoke ? 100'000 : 1'000'000;
+  const std::size_t cancel_total = opt->smoke ? 100'000 : 1'000'000;
   const double cancel_heavy = run_cancel_heavy(cancel_total, 10'000);
   std::cout << "cancel-heavy: " << static_cast<std::uint64_t>(cancel_heavy)
             << " ops/s\n";
 
   // --- Utilization vs cluster scale (the 10k-node study).
   const std::vector<std::size_t> cluster_sizes =
-      opt.smoke ? std::vector<std::size_t>{100, 1'000}
+      opt->smoke ? std::vector<std::size_t>{100, 1'000}
                 : std::vector<std::size_t>{100, 1'000, 10'000};
-  const std::size_t tasks_per_node = opt.smoke ? 4 : 20;
+  const std::size_t tasks_per_node = opt->smoke ? 4 : 20;
   common::Json::Object utilization_scale;
   for (const auto nodes : cluster_sizes) {
     const auto s = run_cluster_study(nodes, nodes * tasks_per_node);
@@ -269,51 +239,14 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_sim.v2"},
-      {"mode", opt.smoke ? "smoke" : "full"},
-      {"hardware_threads",
-       static_cast<std::size_t>(std::thread::hardware_concurrency())},
-      {"throughput", std::move(throughput)},
-      {"pending_sweep", std::move(pending_sweep)},
-      {"cancel_heavy", cancel_heavy},
-      {"utilization_scale", std::move(utilization_scale)},
-  }};
-  {
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::cerr << "bench_sim: cannot write " << opt.out << "\n";
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-  }
-  std::cout << "wrote " << opt.out << "\n";
-
-  if (opt.check.empty()) return 0;
-
-  // --- Regression gate against the checked-in baseline.
-  std::ifstream in(opt.check);
-  if (!in) {
-    std::cerr << "bench_sim: cannot read baseline " << opt.check << "\n";
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto baseline = common::Json::parse(buf.str());
-  if (baseline.at("schema") != doc.at("schema")) {
-    std::cerr << "FAIL: baseline " << opt.check << " has schema "
-              << baseline.at("schema").as_string() << "; regenerate it\n";
-    return 1;
-  }
   // Absolute sanity floor: any machine that can run the suite at all
   // clears 1e5 ev/s at p=1e4; below that something is badly broken (e.g.
   // an accidental O(n) scan on the hot path).
-  constexpr double kAbsoluteFloor = 1e5;
-  if (p10000 < kAbsoluteFloor) {
-    std::cerr << "FAIL: p10000 throughput " << p10000 << " ev/s under the "
-              << kAbsoluteFloor << " sanity floor\n";
-    return 1;
-  }
-  std::cout << "bench_sim check: OK\n";
-  return 0;
+  return bench::finish(
+      *opt,
+      {{.name = "p10000", .value = p10000, .floor = 1e5}},
+      {{"throughput", std::move(throughput)},
+       {"pending_sweep", std::move(pending_sweep)},
+       {"cancel_heavy", cancel_heavy},
+       {"utilization_scale", std::move(utilization_scale)}});
 }

@@ -1,7 +1,6 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "common/ascii_chart.hpp"
@@ -90,7 +89,7 @@ std::string pct(double fraction) {
 std::string delta_with_relative(double own, double baseline) {
   std::string s = common::format_fixed(own, own < 1.0 && own > -1.0 ? 2 : 1);
   if (baseline != 0.0) {
-    const double rel = (own - baseline) / std::fabs(baseline) * 100.0;
+    const double rel = common::net_delta_pct(baseline, own);
     s += " (" + std::string(rel >= 0 ? "+" : "") +
          common::format_fixed(rel, 1) + "%)";
   } else {

@@ -77,21 +77,6 @@ std::vector<ProfileEvent> Profiler::events() const {
   return out;
 }
 
-std::vector<ProfileEvent> Profiler::events_for(std::string_view entity) const {
-  std::vector<ProfileEvent> out;
-  for (auto& e : merged())
-    if (e.event.entity == entity) out.push_back(std::move(e.event));
-  return out;
-}
-
-std::optional<double> Profiler::time_of(std::string_view entity,
-                                        std::string_view event) const {
-  for (const auto& e : merged())
-    if (e.event.entity == entity && e.event.event == event)
-      return e.event.time;
-  return std::nullopt;
-}
-
 std::map<std::string, double> phase_durations(
     std::span<const ProfileEvent> records) {
   // Pair *_start with the next matching *_stop per entity.

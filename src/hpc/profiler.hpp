@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -67,13 +66,6 @@ class Profiler {
 
   /// All events in global record order (sequence-number merged).
   [[nodiscard]] std::vector<ProfileEvent> events() const;
-
-  /// Events for a single entity, in record order.
-  [[nodiscard]] std::vector<ProfileEvent> events_for(std::string_view entity) const;
-
-  /// Time of the first occurrence of `event` for `entity`.
-  [[nodiscard]] std::optional<double> time_of(std::string_view entity,
-                                              std::string_view event) const;
 
   [[nodiscard]] std::size_t size() const;
   void clear();

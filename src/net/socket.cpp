@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <system_error>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -31,8 +32,12 @@ bool SocketLink::send(const Message& m) {
   if (closed_) {
     return false;
   }
-  const std::vector<std::uint8_t> frame = encode_frame(m);
-  tx_backlog_.insert(tx_backlog_.end(), frame.begin(), frame.end());
+  std::vector<std::uint8_t> frame = encode_frame(m);
+  if (tx_backlog_.empty()) {
+    tx_backlog_ = std::move(frame);
+  } else {
+    tx_backlog_.insert(tx_backlog_.end(), frame.begin(), frame.end());
+  }
   flush_tx();
   return !closed_;
 }

@@ -19,26 +19,6 @@ TEST(Profiler, RecordsInOrder) {
   EXPECT_EQ(p.size(), 2u);
 }
 
-TEST(Profiler, EventsForFiltersByEntity) {
-  Profiler p;
-  p.record(1.0, "a", "x");
-  p.record(2.0, "b", "y");
-  p.record(3.0, "a", "z");
-  const auto evs = p.events_for("a");
-  ASSERT_EQ(evs.size(), 2u);
-  EXPECT_EQ(evs[0].event, "x");
-  EXPECT_EQ(evs[1].event, "z");
-}
-
-TEST(Profiler, TimeOfFirstOccurrence) {
-  Profiler p;
-  p.record(5.0, "a", "x");
-  p.record(9.0, "a", "x");
-  EXPECT_EQ(p.time_of("a", "x"), 5.0);
-  EXPECT_FALSE(p.time_of("a", "missing").has_value());
-  EXPECT_FALSE(p.time_of("missing", "x").has_value());
-}
-
 TEST(Profiler, PhaseDurationsSingleTask) {
   Profiler p;
   p.record(0.0, "pilot.0", events::kBootstrapStart);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -101,15 +103,21 @@ TEST_P(RuntimeFuzz, InvariantsHoldForRandomWorkloads) {
   EXPECT_GE(makespan * node.cores, total_core_seconds * 0.5);
   EXPECT_LT(makespan, 1e9);
 
-  // 4. Profiler ordering invariants for every task.
+  // 4. Profiler ordering invariants for every task, from one snapshot:
+  //    the first exec_setup_start and exec_start per task.
+  std::map<std::string, double> setup_at;
+  std::map<std::string, double> start_at;
+  for (const auto& e : session.profiler().events()) {
+    if (e.event == hpc::events::kExecSetupStart)
+      setup_at.try_emplace(e.entity, e.time);
+    else if (e.event == hpc::events::kExecStart)
+      start_at.try_emplace(e.entity, e.time);
+  }
   for (const auto& iv : intervals) {
-    const auto setup =
-        session.profiler().time_of(iv.task_uid, hpc::events::kExecSetupStart);
-    const auto start =
-        session.profiler().time_of(iv.task_uid, hpc::events::kExecStart);
-    ASSERT_TRUE(setup && start);
-    EXPECT_LE(*setup, *start);
-    EXPECT_LE(*start, iv.start + 1e-9);
+    ASSERT_TRUE(setup_at.contains(iv.task_uid) &&
+                start_at.contains(iv.task_uid));
+    EXPECT_LE(setup_at[iv.task_uid], start_at[iv.task_uid]);
+    EXPECT_LE(start_at[iv.task_uid], iv.start + 1e-9);
   }
 }
 

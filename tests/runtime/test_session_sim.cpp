@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "runtime/session.hpp"
 
@@ -135,21 +139,24 @@ TEST(SimSession, ProfilerEventOrdering) {
   session.submit_pilot(small_pilot(5.0, 2.0));
   auto task = session.task_manager().submit(make_simple_task("t", 1, 0, 10.0));
   session.run();
-  auto& prof = session.profiler();
-  const auto submit = prof.time_of(task->uid(), hpc::events::kSubmit);
-  const auto sched = prof.time_of(task->uid(), hpc::events::kSchedule);
-  const auto setup = prof.time_of(task->uid(), hpc::events::kExecSetupStart);
-  const auto start = prof.time_of(task->uid(), hpc::events::kExecStart);
-  const auto stop = prof.time_of(task->uid(), hpc::events::kExecStop);
-  const auto done = prof.time_of(task->uid(), hpc::events::kDone);
-  ASSERT_TRUE(submit && sched && setup && start && stop && done);
-  EXPECT_LE(*submit, *sched);
-  EXPECT_LE(*sched, *setup);
-  EXPECT_LT(*setup, *start);
-  EXPECT_LT(*start, *stop);
-  EXPECT_LE(*stop, *done);
-  EXPECT_DOUBLE_EQ(*start - *setup, 2.0);
-  EXPECT_DOUBLE_EQ(*stop - *start, 10.0);
+  // First occurrence of each of the task's events, from one snapshot.
+  std::map<std::string, double, std::less<>> first;
+  for (const auto& e : session.profiler().events())
+    if (e.entity == task->uid()) first.try_emplace(e.event, e.time);
+  namespace ev = hpc::events;
+  for (const auto event : {ev::kSubmit, ev::kSchedule, ev::kExecSetupStart,
+                           ev::kExecStart, ev::kExecStop, ev::kDone})
+    ASSERT_TRUE(first.contains(event)) << event;
+  const auto at = [&](std::string_view event) {
+    return first.find(event)->second;
+  };
+  EXPECT_LE(at(ev::kSubmit), at(ev::kSchedule));
+  EXPECT_LE(at(ev::kSchedule), at(ev::kExecSetupStart));
+  EXPECT_LT(at(ev::kExecSetupStart), at(ev::kExecStart));
+  EXPECT_LT(at(ev::kExecStart), at(ev::kExecStop));
+  EXPECT_LE(at(ev::kExecStop), at(ev::kDone));
+  EXPECT_DOUBLE_EQ(at(ev::kExecStart) - at(ev::kExecSetupStart), 2.0);
+  EXPECT_DOUBLE_EQ(at(ev::kExecStop) - at(ev::kExecStart), 10.0);
 }
 
 TEST(SimSession, PhaseDurationsAggregated) {

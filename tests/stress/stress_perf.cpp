@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -119,15 +120,14 @@ TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
             static_cast<std::size_t>(kThreads) * kPerThread);
   const auto events = profiler.events();
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads) * kPerThread);
-  // Per-entity program order survives the merge.
-  for (int t = 0; t < kThreads; ++t) {
-    const auto mine =
-        profiler.events_for("task.writer" + std::to_string(t));
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(kPerThread));
-    for (int i = 0; i < kPerThread; ++i)
-      ASSERT_DOUBLE_EQ(mine[static_cast<std::size_t>(i)].time,
-                       static_cast<double>(i));
-  }
+  // Per-entity program order survives the merge: each writer's events
+  // appear with times 0, 1, 2, ... in record order.
+  std::map<std::string, int> next;
+  for (const auto& e : events)
+    ASSERT_DOUBLE_EQ(e.time, static_cast<double>(next[e.entity]++));
+  ASSERT_EQ(next.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& [entity, count] : next)
+    EXPECT_EQ(count, kPerThread) << entity;
 }
 
 TEST(StressPerf, ProfilerClearWhileRecording) {
