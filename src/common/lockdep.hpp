@@ -16,8 +16,8 @@
 //
 // When IMPRESS_LOCKDEP is OFF (the default), TrackedMutex is an inline
 // forwarding wrapper around std::mutex with no extra members and the
-// report/clear entry points collapse to constants: the gate mirrors the
-// IMPRESS_OBS pattern and costs nothing in normal builds.
+// report/clear entry points collapse to constants, so the gate costs
+// nothing in normal builds.
 //
 // ---------------------------------------------------------------------------
 // Canonical mutex acquisition order (hold an earlier lock while taking a

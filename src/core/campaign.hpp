@@ -68,7 +68,9 @@ struct CampaignConfig {
       .refined_noise_factor = 0.65,
       .task_retry = {},
       .fold_cache = {},
-      .infer = {}};
+      .infer = {},
+      .checkpoint = {},
+      .checkpoint_sink = {}};
   rp::PilotDescription pilot = calibration::amarel_pilot();
   /// Additional pilots submitted after `pilot` (submission order defines
   /// the fault-plan pilot index: `pilot` is 0, extra_pilots[i] is i+1).

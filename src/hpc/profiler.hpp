@@ -5,25 +5,20 @@
 // computed from these records, and tests assert ordering invariants on
 // them (e.g. a task never runs before it is scheduled).
 //
-// Concurrency: record() appends to a per-thread buffer (discovered via a
-// thread-local cache keyed on a process-unique profiler id), so executor
-// threads never contend on a shared mutex — the only synchronization on
-// the hot path is an uncontended per-buffer lock and one relaxed
-// fetch_add that assigns the event its global sequence number. Readers
-// merge the buffers and sort by sequence number, reconstructing the
-// single record order the old global-mutex implementation produced.
+// Concurrency: records live in a common::SeqLog, so record() appends to
+// a per-thread buffer (one relaxed fetch_add for the global sequence
+// number, one push under an uncontended per-buffer lock) and readers get
+// the single global record order back from the seq-ordered merge.
 
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/seq_log.hpp"
 
 namespace impress::hpc {
 
@@ -57,7 +52,7 @@ inline constexpr std::string_view kPilotReactivated = "pilot_reactivated";
 
 class Profiler {
  public:
-  Profiler();
+  Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -67,34 +62,18 @@ class Profiler {
   /// All events in global record order (sequence-number merged).
   [[nodiscard]] std::vector<ProfileEvent> events() const;
 
-  [[nodiscard]] std::size_t size() const;
-  void clear();
+  [[nodiscard]] std::size_t size() const { return log_.size(); }
+  void clear() { log_.clear(); }
 
   /// Checkpoint restore: seed the profiler with `events` as the earliest
-  /// records (fresh sequence numbers 0..n-1; later record() calls sort
-  /// after them). Only meaningful on an empty profiler.
-  void preload(const std::vector<ProfileEvent>& events);
+  /// records (later record() calls sort after them). Only meaningful on
+  /// an empty profiler.
+  void preload(const std::vector<ProfileEvent>& events) {
+    for (const ProfileEvent& e : events) log_.append(e);
+  }
 
  private:
-  struct Entry {
-    std::uint64_t seq = 0;
-    ProfileEvent event;
-  };
-  struct Buffer {
-    std::mutex mutex;  // guards entries (writer vs concurrent reader)
-    std::vector<Entry> entries;
-  };
-
-  /// This thread's buffer for this profiler, creating and registering it
-  /// on first use. Buffers live until the profiler is destroyed.
-  [[nodiscard]] Buffer& local_buffer();
-  /// Snapshot of all buffers, merged and sorted by sequence number.
-  [[nodiscard]] std::vector<Entry> merged() const;
-
-  const std::uint64_t id_;  ///< process-unique; keys the thread-local cache
-  std::atomic<std::uint64_t> next_seq_{0};
-  mutable std::mutex registry_mutex_;  // guards buffers_
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  common::SeqLog<ProfileEvent> log_;
 };
 
 /// Total duration attributed to each phase across all tasks, over

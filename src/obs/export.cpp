@@ -8,6 +8,9 @@ namespace impress::obs {
 
 namespace {
 
+// Arrays below grow with emplace_back: moving a temporary Json in with
+// push_back makes GCC 12 report a false -Wmaybe-uninitialized inside
+// std::variant's move constructor.
 using common::Json;
 
 /// Prometheus float formatting: integers render bare, everything else
@@ -62,7 +65,7 @@ common::Json chrome_trace(const std::vector<SpanRecord>& spans) {
     ev["pid"] = 1;
     ev["tid"] = static_cast<double>(tid);
     ev["args"] = std::move(args);
-    events.push_back(std::move(ev));
+    events.emplace_back(std::move(ev));
   }
 
   // Name the tracks (chrome "M" metadata events).
@@ -73,7 +76,7 @@ common::Json chrome_trace(const std::vector<SpanRecord>& spans) {
     ev["pid"] = 1;
     ev["tid"] = static_cast<double>(tid);
     ev["args"] = Json::Object{{"name", name}};
-    events.push_back(std::move(ev));
+    events.emplace_back(std::move(ev));
   }
 
   Json::Object doc;
@@ -131,10 +134,10 @@ common::Json spans_to_json(const std::vector<SpanRecord>& spans) {
     if (!s.attrs.empty()) {
       Json::Array attrs;
       for (const auto& [k, v] : s.attrs)
-        attrs.push_back(Json::Array{k, v});
+        attrs.emplace_back(Json::Array{k, v});
       o["attrs"] = std::move(attrs);
     }
-    out.push_back(std::move(o));
+    out.emplace_back(std::move(o));
   }
   return out;
 }
@@ -163,19 +166,19 @@ std::vector<SpanRecord> spans_from_json(const common::Json& doc) {
 common::Json metrics_to_json(const MetricsSnapshot& snapshot) {
   Json::Array counters;
   for (const auto& c : snapshot.counters)
-    counters.push_back(Json::Object{{"name", c.name},
-                                    {"value", static_cast<double>(c.value)}});
+    counters.emplace_back(Json::Object{
+        {"name", c.name}, {"value", static_cast<double>(c.value)}});
   Json::Array gauges;
   for (const auto& g : snapshot.gauges)
-    gauges.push_back(Json::Object{{"name", g.name}, {"value", g.value}});
+    gauges.emplace_back(Json::Object{{"name", g.name}, {"value", g.value}});
   Json::Array histograms;
   for (const auto& h : snapshot.histograms) {
     Json::Array bounds;
-    for (double b : h.bounds) bounds.push_back(b);
+    for (double b : h.bounds) bounds.emplace_back(b);
     Json::Array buckets;
     for (std::uint64_t b : h.buckets)
-      buckets.push_back(static_cast<double>(b));
-    histograms.push_back(Json::Object{
+      buckets.emplace_back(static_cast<double>(b));
+    histograms.emplace_back(Json::Object{
         {"name", h.name},
         {"bounds", std::move(bounds)},
         {"buckets", std::move(buckets)},

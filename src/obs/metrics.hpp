@@ -33,10 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#ifndef IMPRESS_OBS_COMPILED_IN
-#define IMPRESS_OBS_COMPILED_IN 1
-#endif
-
 namespace impress::obs {
 
 namespace detail {
@@ -207,9 +203,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return IMPRESS_OBS_COMPILED_IN != 0 && enabled_;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   [[nodiscard]] Counter* counter(std::string_view name);
   [[nodiscard]] Gauge* gauge(std::string_view name);

@@ -1,26 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace impress::obs {
 
 namespace {
-
-/// Thread-local map from tracer id to that tracer's buffer for this
-/// thread (same shape as hpc::Profiler's cache: ids are process-unique
-/// and never reused, so a stale entry can never be matched).
-struct TlsEntry {
-  std::uint64_t id = 0;
-  void* buffer = nullptr;
-};
-constexpr std::size_t kTlsCacheCap = 64;
-thread_local std::vector<TlsEntry> tls_buffers;  // NOLINT
-
-std::uint64_t next_tracer_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 /// Per-thread ambient (tracer, parent) stack — see AmbientContext.
 struct AmbientFrame {
@@ -31,50 +15,22 @@ thread_local std::vector<AmbientFrame> ambient_stack;  // NOLINT
 
 }  // namespace
 
-Tracer::Tracer(bool enabled)
-    : id_(next_tracer_id()), enabled_(kCompiledIn && enabled) {}
-
-Tracer::Buffer& Tracer::local_buffer() {
-  for (const auto& e : tls_buffers)
-    if (e.id == id_) return *static_cast<Buffer*>(e.buffer);
-  auto owned = std::make_unique<Buffer>();
-  Buffer* raw = owned.get();
-  {
-    std::lock_guard lock(registry_mutex_);
-    buffers_.push_back(std::move(owned));
-  }
-  if (tls_buffers.size() >= kTlsCacheCap)
-    tls_buffers.erase(tls_buffers.begin());
-  tls_buffers.push_back(TlsEntry{id_, raw});
-  return *raw;
-}
-
-void Tracer::record(Event event) {
-  Buffer& buf = local_buffer();
-  std::lock_guard lock(buf.mutex);
-  buf.events.push_back(std::move(event));
-}
-
 SpanId Tracer::begin(double time, std::string_view name,
                      std::string_view category, SpanId parent) {
   if (!enabled()) return 0;
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  record(Event{Kind::kOpen, seq, /*id=*/seq, parent, time, std::string(name),
-               std::string(category)});
-  return seq;
+  return log_.append(Event{Kind::kOpen, /*id: its seq*/ 0, parent, time,
+                           std::string(name), std::string(category)});
 }
 
 void Tracer::end(SpanId id, double time) {
   if (!enabled() || id == 0) return;
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  record(Event{Kind::kClose, seq, id, /*parent=*/0, time, {}, {}});
+  log_.append(Event{Kind::kClose, id, /*parent=*/0, time, {}, {}});
 }
 
 void Tracer::attr(SpanId id, std::string_view key, std::string_view value) {
   if (!enabled() || id == 0) return;
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  record(Event{Kind::kAttr, seq, id, /*parent=*/0, 0.0, std::string(key),
-               std::string(value)});
+  log_.append(Event{Kind::kAttr, id, /*parent=*/0, 0.0, std::string(key),
+                    std::string(value)});
 }
 
 SpanId Tracer::instant(double time, std::string_view name,
@@ -84,38 +40,31 @@ SpanId Tracer::instant(double time, std::string_view name,
   return id;
 }
 
-std::vector<Tracer::Event> Tracer::merged() const {
-  std::vector<Event> out;
-  std::lock_guard registry_lock(registry_mutex_);
-  for (const auto& buf : buffers_) {
-    std::lock_guard lock(buf->mutex);
-    out.insert(out.end(), buf->events.begin(), buf->events.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
-  return out;
-}
-
 void Tracer::preload(std::vector<SpanRecord> spans, std::uint64_t next_seq) {
+  std::lock_guard lock(preloaded_mutex_);
   preloaded_ = std::move(spans);
-  next_seq_.store(next_seq, std::memory_order_relaxed);
+  log_.set_next_seq(next_seq);
 }
 
 std::vector<SpanRecord> Tracer::spans() const {
-  std::vector<SpanRecord> out = preloaded_;
+  std::vector<SpanRecord> out;
+  {
+    std::lock_guard lock(preloaded_mutex_);
+    out = preloaded_;
+  }
   std::unordered_map<SpanId, std::size_t> index;  // span id -> out slot
   for (std::size_t i = 0; i < out.size(); ++i) index[out[i].id] = i;
-  for (auto& e : merged()) {
+  for (auto& [seq, e] : log_.snapshot()) {
     switch (e.kind) {
       case Kind::kOpen: {
-        index[e.id] = out.size();
+        index[seq] = out.size();
         SpanRecord r;
-        r.id = e.id;
+        r.id = seq;
         r.parent = e.parent;
         r.name = std::move(e.name);
         r.category = std::move(e.category);
         r.start = e.time;
-        r.open_seq = e.seq;
+        r.open_seq = seq;
         out.push_back(std::move(r));
         break;
       }
@@ -125,7 +74,7 @@ std::vector<SpanRecord> Tracer::spans() const {
         SpanRecord& r = out[it->second];
         if (r.close_seq == 0) {  // first close wins
           r.end = e.time;
-          r.close_seq = e.seq;
+          r.close_seq = seq;
         }
         break;
       }
@@ -138,26 +87,20 @@ std::vector<SpanRecord> Tracer::spans() const {
       }
     }
   }
-  return out;  // already ordered by open_seq (merged() sorts by seq)
+  return out;  // already ordered by open_seq (the snapshot is seq-ordered)
 }
 
 std::size_t Tracer::size() const {
-  std::size_t total = preloaded_.size();
-  std::lock_guard registry_lock(registry_mutex_);
-  for (const auto& buf : buffers_) {
-    std::lock_guard lock(buf->mutex);
-    for (const auto& e : buf->events)
-      if (e.kind == Kind::kOpen) ++total;
-  }
-  return total;
+  const std::size_t live =
+      log_.count_if([](const Event& e) { return e.kind == Kind::kOpen; });
+  std::lock_guard lock(preloaded_mutex_);
+  return preloaded_.size() + live;
 }
 
 void Tracer::clear() {
-  std::lock_guard registry_lock(registry_mutex_);
-  for (const auto& buf : buffers_) {
-    std::lock_guard lock(buf->mutex);
-    buf->events.clear();
-  }
+  log_.clear();
+  std::lock_guard lock(preloaded_mutex_);
+  preloaded_.clear();
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, std::string_view name,

@@ -1,6 +1,7 @@
 // Structured tracing: RAII spans with parent/child nesting, recorded into
-// thread-safe per-thread buffers (the hpc::Profiler pattern) and exported
-// as a chrome://tracing / Perfetto-loadable JSON document (obs/export.hpp).
+// a common::SeqLog (the per-thread-buffered, globally sequenced log that
+// also backs hpc::Profiler) and exported as a chrome://tracing /
+// Perfetto-loadable JSON document (obs/export.hpp).
 //
 // A span is an interval [start, end] with a name, a category, an optional
 // parent span and string attributes. Span trees carry campaign / pipeline
@@ -15,33 +16,21 @@
 // a pure function of the seed.
 //
 // Cost model: a disabled tracer (the default) costs one branch per call
-// site; no buffer is ever allocated. Compiling with
-// IMPRESS_OBS_COMPILED_IN=0 (cmake -DIMPRESS_OBS=OFF) additionally turns
-// every recording member into a statically checkable no-op —
-// obs::kCompiledIn lets tests assert which build they are in.
+// site; no buffer is ever allocated.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#ifndef IMPRESS_OBS_COMPILED_IN
-#define IMPRESS_OBS_COMPILED_IN 1
-#endif
+#include "common/seq_log.hpp"
 
 namespace impress::obs {
-
-/// Compile-time switch: when false every Tracer/ScopedSpan member is an
-/// empty inline function (the "no-op sink") and the optimizer erases the
-/// call sites entirely.
-inline constexpr bool kCompiledIn = IMPRESS_OBS_COMPILED_IN != 0;
 
 /// Identifies one span within one Tracer; 0 means "no span".
 using SpanId = std::uint64_t;
@@ -74,13 +63,11 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  explicit Tracer(bool enabled = false);
+  explicit Tracer(bool enabled = false) : enabled_(enabled) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return kCompiledIn && enabled_;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Wire the clock used by ScopedSpan and now(); spans recorded through
   /// the explicit-time overloads never consult it.
@@ -104,6 +91,7 @@ class Tracer {
   [[nodiscard]] std::vector<SpanRecord> spans() const;
   /// Number of spans opened so far.
   [[nodiscard]] std::size_t size() const;
+  /// Drop every span, preloaded ones included. Span ids keep counting.
   void clear();
 
   /// Checkpoint restore: seed the tracer with spans recorded before the
@@ -114,40 +102,30 @@ class Tracer {
   void preload(std::vector<SpanRecord> spans, std::uint64_t next_seq);
   /// Next seq the tracer will assign (checkpointed alongside spans()).
   [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return next_seq_.load(std::memory_order_relaxed);
+    return log_.next_seq();
   }
 
  private:
   enum class Kind : std::uint8_t { kOpen, kClose, kAttr };
+  /// One log record. Its seq is the event's global ordinal, and an open's
+  /// seq doubles as its span's id (seqs start at 1, so id 0 stays "no
+  /// span").
   struct Event {
     Kind kind = Kind::kOpen;
-    std::uint64_t seq = 0;
-    SpanId id = 0;
+    SpanId id = 0;  ///< target span (kClose, kAttr)
     SpanId parent = 0;
     double time = 0.0;
     std::string name;      ///< span name (kOpen) or attr key (kAttr)
     std::string category;  ///< span category (kOpen) or attr value (kAttr)
   };
-  struct Buffer {
-    std::mutex mutex;  // writer vs concurrent snapshot reader
-    std::vector<Event> events;
-  };
 
-  [[nodiscard]] Buffer& local_buffer();
-  void record(Event event);
-  [[nodiscard]] std::vector<Event> merged() const;
-
-  const std::uint64_t id_;  ///< process-unique; keys the thread-local cache
   const bool enabled_;
   std::function<double()> clock_;
+  mutable std::mutex preloaded_mutex_;  // guards preloaded_
   /// Spans restored from a checkpoint (see preload); their ids are all
-  /// below the restored next_seq_, so they sort before live spans.
+  /// below the restored next seq, so they sort before live spans.
   std::vector<SpanRecord> preloaded_;
-  /// Seqs double as span ids (an open's seq is its span's id); starts at 1
-  /// so id 0 stays "no span".
-  std::atomic<std::uint64_t> next_seq_{1};
-  mutable std::mutex registry_mutex_;  // guards buffers_
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  common::SeqLog<Event> log_;
 };
 
 /// RAII span: opens on construction using the tracer's clock, closes on

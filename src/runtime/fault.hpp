@@ -45,11 +45,12 @@ struct FaultConfig {
   double slow_task_rate = 0.0;
   /// Duration multiplier applied to every phase of a slow attempt.
   double slow_factor = 4.0;
-  /// Pilot/node outages, armed by the session at submit_pilot time.
-  std::vector<PilotOutage> pilot_outages;
+  /// Pilot/node outages, armed by the session at submit_pilot time. The
+  /// `{}`s let designated initializers omit both lists warning-free.
+  std::vector<PilotOutage> pilot_outages{};
   /// Spot-capacity reclaims (eviction + later return), armed alongside
   /// pilot_outages against the session clock.
-  std::vector<SpotReclaim> spot_reclaims;
+  std::vector<SpotReclaim> spot_reclaims{};
 
   /// True when any fault source is configured.
   [[nodiscard]] bool any() const noexcept {

@@ -84,7 +84,8 @@ TEST_F(Persistence, CrashDuringSessionDumpKeepsPriorDumpLoadable) {
   TrajectoryResult t;
   t.pipeline_id = "P1";
   t.target_name = "T1";
-  t.history.push_back(IterationRecord{.cycle = 1, .sequence = "ACDEFG"});
+  t.history.push_back(
+      IterationRecord{.cycle = 1, .metrics = {}, .sequence = "ACDEFG"});
   first.trajectories.push_back(t);
 
   const auto p = path("dump.json");
@@ -117,7 +118,8 @@ TEST(CsvEscape, TrajectoriesCsvSurvivesHostileTargetName) {
   TrajectoryResult t;
   t.pipeline_id = "P,1";
   t.target_name = "PDZ \"domain\", variant\n2";
-  t.history.push_back(IterationRecord{.cycle = 1, .sequence = "ACDE"});
+  t.history.push_back(
+      IterationRecord{.cycle = 1, .metrics = {}, .sequence = "ACDE"});
   result.trajectories.push_back(t);
 
   const auto csv = trajectories_csv(result);

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -114,6 +115,19 @@ TEST(Tracer, ClearDropsEverything) {
   Tracer tracer(true);
   (void)tracer.begin(0.0, "x", categories::kWork);
   EXPECT_EQ(tracer.size(), 1u);
+  tracer.clear();
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_TRUE(tracer.spans().empty());
+}
+
+TEST(Tracer, ClearDropsPreloadedSpans) {
+  Tracer tracer(true);
+  std::vector<SpanRecord> restored(2);
+  restored[0].id = restored[0].open_seq = 1;
+  restored[1].id = restored[1].open_seq = 2;
+  tracer.preload(std::move(restored), /*next_seq=*/3);
+  (void)tracer.begin(0.0, "live", categories::kWork);
+  EXPECT_EQ(tracer.size(), 3u);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_TRUE(tracer.spans().empty());

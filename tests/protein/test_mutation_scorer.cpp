@@ -142,8 +142,9 @@ TEST(MutationScorer, PreferenceConsistentWithScoring) {
       const double pref = land.preference(pos, static_cast<AminoAcid>(a));
       EXPECT_GE(pref, 0.0);
       EXPECT_LE(pref, 1.0);
-      if (!is_interface[pos] && static_cast<AminoAcid>(a) == native[pos])
+      if (!is_interface[pos] && static_cast<AminoAcid>(a) == native[pos]) {
         EXPECT_DOUBLE_EQ(pref, 1.0);
+      }
     }
 }
 
